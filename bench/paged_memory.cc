@@ -1,33 +1,32 @@
-// Paged session memory: bytes/session reduction and the bit-identity
-// contract, measured end to end.
+// Paged session memory: bytes/session and the bit-identity contract,
+// measured end to end.
 //
-// The paged store (lm/paged_store.h) replaces per-entry map nodes with
-// fixed-span refcounted blocks so concurrent draws share frozen prompt
-// state at block granularity. Its contract has three legs, and this
-// bench gates all of them:
+// The paged store (lm/paged_store.h) keeps model state in fixed-span
+// refcounted blocks so concurrent draws share frozen prompt state at
+// block granularity. Its contract has three legs, and this bench gates
+// all of them:
 //
 //  1. Bit-identity: the same MultiCast (VI) forecast on GasRate, n = 8
-//     draws, is run paged and unpaged across a threads x batch grid
-//     (the schedules that interleave sessions differently). Forecast
-//     values, quantile bands and token ledgers must agree bitwise in
-//     every cell — and with the sequential unpaged baseline.
-//  2. Memory: both sides attach a BlockPool (the unpaged side a
-//     disabled, accounting-only pool), so bytes/session come off one
-//     measurement path. The paged run must spend at most half the
-//     private overlay bytes per draw session of the plain maps.
+//     draws, is run across a threads x batch grid (the schedules that
+//     interleave sessions differently). Forecast values, quantile bands
+//     and token ledgers must agree bitwise with the sequential run in
+//     every cell.
+//  2. Memory: private overlay bytes per draw session must stay at or
+//     below kMaxBytesPerSession in every cell — half the 55,216 bytes
+//     the per-entry map representation spent on this workload.
 //  3. Pressure: a pool capped far below the workload's working set must
 //     degrade, never fail — once with a forecaster that spills entries
-//     to plain storage (identical output, exhaustion events counted),
+//     to overflow maps (identical output, exhaustion events counted),
 //     and once through a ServeExecutor whose overload ladder reads the
 //     pool's fullness and demotes/sheds requests while the run still
 //     completes every request.
 //
 // Run from the repo root: ./build/bench/paged_memory [--smoke]
 // Writes BENCH_paged.json plus BENCH_paged_metrics.json (the headline
-// paged pool's lm.mem.* counters through the util::WriteMetricsJson
-// path the sims share). Exits non-zero when any cell diverges, the
-// bytes/session reduction is below 2x, the exhaustion run diverges or
-// sees no exhaustion, or the pressure scenario fails to demote.
+// pool's lm.mem.* counters through the util::WriteMetricsJson path the
+// sims share). Exits non-zero when any cell diverges or exceeds the
+// bytes/session bound, the exhaustion run diverges or sees no
+// exhaustion, or the pressure scenario fails to demote.
 
 #include <cstring>
 #include <memory>
@@ -46,6 +45,10 @@ namespace multicast {
 namespace bench {
 namespace {
 
+// Leg 2's bound: half of the 55,216 bytes/session the per-entry map
+// representation measured on this workload.
+constexpr double kMaxBytesPerSession = 27608.0;
+
 struct RunResult {
   /// Forecast values, then every quantile band's values — the bitwise
   /// identity signature.
@@ -54,12 +57,10 @@ struct RunResult {
   lm::BlockPoolStats pool;
 };
 
-// One forecast under the given schedule. `paged` selects block storage;
-// the unpaged side still attaches a disabled pool so both sides report
-// bytes/session through the same accounting path. `pool_blocks` caps
-// the paged pool (0 = unbounded) for the exhaustion scenario.
-RunResult RunForecast(const ts::Frame& train, size_t horizon, bool paged,
-                      int threads, size_t batch, size_t pool_blocks = 0) {
+// One forecast under the given schedule. `pool_blocks` caps the
+// forecaster's pool (0 = unbounded) for the exhaustion scenario.
+RunResult RunForecast(const ts::Frame& train, size_t horizon, int threads,
+                      size_t batch, size_t pool_blocks = 0) {
   forecast::MultiCastOptions opts =
       DefaultMultiCast(multiplex::MuxKind::kValueInterleave);
   opts.num_samples = 8;
@@ -73,16 +74,8 @@ RunResult RunForecast(const ts::Frame& train, size_t horizon, bool paged,
     scheduler = std::make_shared<batch::BatchScheduler>(policy);
     opts.batch_scheduler = scheduler;
   }
-  if (paged) {
-    opts.paged_memory = true;
-    opts.block_span = 32;
-    opts.pool_blocks = pool_blocks;
-  } else {
-    // Accounting-only pool: enabled = false, so the models keep their
-    // plain maps but still report per-session byte footprints.
-    opts.block_pool =
-        std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
-  }
+  opts.block_span = 32;
+  opts.pool_blocks = pool_blocks;
   forecast::MultiCastForecaster forecaster(opts);
   forecast::ForecastResult result =
       OrDie(forecaster.Forecast(train, horizon), "forecast");
@@ -129,7 +122,6 @@ struct ShedResult {
 ShedResult RunShedScenario(const ts::Frame* history, size_t horizon,
                            size_t requests) {
   lm::PagedMemoryOptions popts;
-  popts.enabled = true;
   popts.block_span = 8;
   popts.max_blocks = 16;
   auto pool = std::make_shared<lm::BlockPool>(popts);
@@ -203,64 +195,46 @@ int Main(bool smoke) {
 
   std::printf(
       "paged session memory: MultiCast (VI) on GasRate, n = 8 draws, "
-      "horizon %zu, block span 32, paged vs plain across threads x "
-      "batch\n\n",
+      "horizon %zu, block span 32, across threads x batch\n\n",
       kHorizon);
 
-  // The sequential unpaged run anchors every identity check.
-  RunResult baseline = RunForecast(split.train, kHorizon, /*paged=*/false,
-                                   /*threads=*/1, /*batch=*/1);
+  // The sequential run anchors every identity check.
+  RunResult baseline =
+      RunForecast(split.train, kHorizon, /*threads=*/1, /*batch=*/1);
 
   struct Cell {
     int threads = 0;
     size_t batch = 0;
     bool identical = false;
-    double plain_bytes = 0.0;
-    double paged_bytes = 0.0;
-    double reduction = 0.0;
+    double bytes = 0.0;
     double sharing = 0.0;
   };
   std::vector<Cell> cells;
-  lm::BlockPoolStats headline_pool;
-  TextTable table({"Threads", "Batch", "Plain B/sess", "Paged B/sess",
-                   "Reduction", "Sharing", "Identical"});
+  TextTable table({"Threads", "Batch", "B/sess", "Sharing", "Identical"});
   for (int threads : thread_counts) {
     for (size_t batch : batch_sizes) {
-      RunResult plain =
-          RunForecast(split.train, kHorizon, /*paged=*/false, threads, batch);
-      RunResult paged =
-          RunForecast(split.train, kHorizon, /*paged=*/true, threads, batch);
+      RunResult run = RunForecast(split.train, kHorizon, threads, batch);
       Cell cell;
       cell.threads = threads;
       cell.batch = batch;
-      // Both the paged and the plain run must match the sequential
-      // unpaged baseline: paging must not change the output, and
-      // neither may the schedule.
-      cell.identical =
-          Identical(paged, baseline) && Identical(plain, baseline);
-      cell.plain_bytes = plain.pool.bytes_per_session();
-      cell.paged_bytes = paged.pool.bytes_per_session();
-      cell.reduction =
-          cell.paged_bytes > 0.0 ? cell.plain_bytes / cell.paged_bytes : 0.0;
-      cell.sharing = paged.pool.sharing_ratio();
+      // The schedule must not change the output.
+      cell.identical = Identical(run, baseline);
+      cell.bytes = run.pool.bytes_per_session();
+      cell.sharing = run.pool.sharing_ratio();
       table.AddRow({StrFormat("%d", cell.threads),
                     StrFormat("%zu", cell.batch),
-                    StrFormat("%.0f", cell.plain_bytes),
-                    StrFormat("%.0f", cell.paged_bytes),
-                    StrFormat("%.2fx", cell.reduction),
+                    StrFormat("%.0f", cell.bytes),
                     StrFormat("%.1fx", cell.sharing),
                     cell.identical ? "yes" : "NO"});
-      if (threads == 1 && batch == 1) headline_pool = paged.pool;
       cells.push_back(cell);
     }
   }
   std::printf("%s\n", table.Render().c_str());
 
   // Exhaustion: a pool capped at 8 blocks spills most of the working
-  // set to plain storage — output must not move, events must count.
-  RunResult exhausted = RunForecast(split.train, kHorizon, /*paged=*/true,
-                                    /*threads=*/2, /*batch=*/1,
-                                    /*pool_blocks=*/8);
+  // set to overflow maps — output must not move, events must count.
+  RunResult exhausted = RunForecast(split.train, kHorizon, /*threads=*/2,
+                                    /*batch=*/1, /*pool_blocks=*/8);
   const bool exhausted_identical = Identical(exhausted, baseline);
   std::printf("exhaustion: pool capped at 8 blocks -> %zu events, "
               "identical %s\n",
@@ -276,10 +250,10 @@ int Main(bool smoke) {
               shed.tier_classical, shed.tier_shed, shed.exhaustion_events,
               shed.final_fullness);
 
-  // The headline (sequential) paged pool's counters, through the same
+  // The headline (sequential) pool's counters, through the same
   // registry path serve-sim uses for its lm.mem.* section.
   util::MetricsRegistry registry;
-  lm::PublishBlockPoolStats(headline_pool, &registry, "lm.mem.");
+  lm::PublishBlockPoolStats(baseline.pool, &registry, "lm.mem.");
   WriteBenchMetrics("BENCH_paged_metrics.json", "paged n=8", registry);
 
   std::FILE* json = std::fopen("BENCH_paged.json", "w");
@@ -302,14 +276,12 @@ int Main(bool smoke) {
     const Cell& c = cells[i];
     std::fprintf(json,
                  "    {\"threads\": %d, \"batch\": %zu, "
-                 "\"plain_bytes_per_session\": %.1f, "
-                 "\"paged_bytes_per_session\": %.1f, \"reduction\": %.3f, "
+                 "\"bytes_per_session\": %.1f, "
                  "\"sharing_ratio\": %.2f, \"identical\": %s}%s\n",
-                 c.threads, c.batch, c.plain_bytes, c.paged_bytes,
-                 c.reduction, c.sharing, c.identical ? "true" : "false",
+                 c.threads, c.batch, c.bytes, c.sharing,
+                 c.identical ? "true" : "false",
                  i + 1 < cells.size() ? "," : "");
   }
-  const double gate_reduction = cells.front().reduction;
   std::fprintf(
       json,
       "  ],\n"
@@ -319,13 +291,13 @@ int Main(bool smoke) {
       "\"tier_llm_full\": %zu, \"tier_classical\": %zu, "
       "\"tier_shed\": %zu, \"exhaustion_events\": %zu, "
       "\"final_fullness\": %.3f},\n"
-      "  \"reduction_at_1x1\": %.3f,\n"
+      "  \"max_bytes_per_session\": %.1f,\n"
       "  \"all_identical\": %s\n"
       "}\n",
       exhausted.pool.exhaustion_events,
       exhausted_identical ? "true" : "false", shed.requests, shed.completed,
       shed.tier_full, shed.tier_classical, shed.tier_shed,
-      shed.exhaustion_events, shed.final_fullness, gate_reduction,
+      shed.exhaustion_events, shed.final_fullness, kMaxBytesPerSession,
       [&] {
         for (const Cell& c : cells) {
           if (!c.identical) return false;
@@ -343,16 +315,16 @@ int Main(bool smoke) {
   for (const Cell& c : cells) {
     if (!c.identical) {
       std::fprintf(stderr,
-                   "FAIL: paged forecast diverged from the sequential "
-                   "unpaged baseline at threads=%d batch=%zu\n",
+                   "FAIL: forecast diverged from the sequential baseline "
+                   "at threads=%d batch=%zu\n",
                    c.threads, c.batch);
       status = 1;
     }
-    if (c.reduction < 2.0) {
+    if (c.bytes > kMaxBytesPerSession) {
       std::fprintf(stderr,
-                   "FAIL: bytes/session reduction %.2fx at threads=%d "
-                   "batch=%zu is below the 2x floor\n",
-                   c.reduction, c.threads, c.batch);
+                   "FAIL: %.0f bytes/session at threads=%d batch=%zu "
+                   "exceeds the %.0f bound\n",
+                   c.bytes, c.threads, c.batch, kMaxBytesPerSession);
       status = 1;
     }
   }

@@ -43,7 +43,7 @@ const std::set<std::string> kMethodFlags = {
     "threads", "prefix-cache", "prefix-cache-capacity",
     "batch",  "batch-size",  "batch-backfill",
     "speculative", "draft-k",
-    "paged-memory", "block-span", "pool-blocks",
+    "block-span", "pool-blocks",
     // serve-sim trace and serving-policy flags.
     "requests",   "arrival-rate", "deadline",  "queue-capacity",
     "queue-order", "hedge-delay", "burst-factor", "burst-every",
@@ -55,7 +55,7 @@ const std::set<std::string> kMethodFlags = {
     "replica-chaos-seed"};
 const std::set<std::string> kBoolFlags = {
     "plot", "fallback", "batch", "overload-ladder", "classical-fallback",
-    "speculative", "paged-memory"};
+    "speculative"};
 
 Result<lm::ModelProfile> ProfileByName(const std::string& name) {
   if (name == "llama2") return lm::ModelProfile::Llama2_7B();
@@ -63,6 +63,14 @@ Result<lm::ModelProfile> ProfileByName(const std::string& name) {
   if (name == "ctw") return lm::ModelProfile::CtwMixture();
   return Status::InvalidArgument("unknown profile '" + name +
                                  "' (expected llama2, phi2 or ctw)");
+}
+
+// A session-memory pool with the spec's geometry (--block-span,
+// --pool-blocks); creating one allocates no blocks.
+std::shared_ptr<lm::BlockPool> NewBlockPool(const MethodSpec& spec) {
+  return std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{
+      .block_span = static_cast<size_t>(spec.block_span),
+      .max_blocks = static_cast<size_t>(spec.pool_blocks)});
 }
 
 Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
@@ -127,10 +135,14 @@ Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
     return Status::InvalidArgument("--draft-k must be >= 1");
   }
   spec.draft_k = static_cast<int>(draft_k);
-  spec.paged_memory = flags.GetBool("paged-memory");
   MC_ASSIGN_OR_RETURN(int64_t block_span, flags.GetInt("block-span", 32));
-  if (block_span < 1) {
-    return Status::InvalidArgument("--block-span must be >= 1");
+  // Every block is one (8 + slot) x span allocation, so the span is
+  // bounded on both sides.
+  if (block_span < static_cast<int64_t>(lm::kMinBlockSpan) ||
+      block_span > static_cast<int64_t>(lm::kMaxBlockSpan)) {
+    return Status::InvalidArgument(
+        StrFormat("--block-span must be in [%zu, %zu]", lm::kMinBlockSpan,
+                  lm::kMaxBlockSpan));
   }
   spec.block_span = static_cast<int>(block_span);
   MC_ASSIGN_OR_RETURN(int64_t pool_blocks, flags.GetInt("pool-blocks", 0));
@@ -585,15 +597,8 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
     // One block pool per method, shared the same way: every request's
     // pipelines (and the shared prefix cache's frozen states) draw
     // blocks from it, and its fullness feeds the overload ladder.
-    std::shared_ptr<lm::BlockPool> method_pool;
-    if (spec.paged_memory) {
-      lm::PagedMemoryOptions paged;
-      paged.enabled = true;
-      paged.block_span = static_cast<size_t>(spec.block_span);
-      paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
-      method_pool = std::make_shared<lm::BlockPool>(paged);
-      spec.block_pool = method_pool;
-    }
+    std::shared_ptr<lm::BlockPool> method_pool = NewBlockPool(spec);
+    spec.block_pool = method_pool;
     serve_options.block_pool = method_pool;
     // Validate the spec once so the per-request factories cannot fail.
     MC_RETURN_IF_ERROR(MakeForecaster(spec).status());
@@ -663,7 +668,7 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
     if (method_scheduler != nullptr) {
       method_scheduler->PublishMetrics(&registry);
     }
-    if (method_pool != nullptr) method_pool->PublishMetrics(&registry);
+    method_pool->PublishMetrics(&registry);
     sections.emplace_back(name, registry.Snapshot());
     table.AddRow(
         {name, StrFormat("%zu", summary.served),
@@ -715,17 +720,13 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
     } else {
       batch_lines.push_back(StrFormat("batch %s: off", name.c_str()));
     }
-    if (method_pool != nullptr) {
-      const lm::BlockPoolStats ms = method_pool->stats();
-      mem_lines.push_back(StrFormat(
-          "paged-mem %s: %zu blocks live (peak %zu), %zu sessions at "
-          "%.0f bytes each, sharing %.1fx, %zu recycled, %zu exhaustions",
-          name.c_str(), ms.blocks_live, ms.blocks_peak, ms.sessions,
-          ms.bytes_per_session(), ms.sharing_ratio(), ms.blocks_recycled,
-          ms.exhaustion_events));
-    } else {
-      mem_lines.push_back(StrFormat("paged-mem %s: off", name.c_str()));
-    }
+    const lm::BlockPoolStats ms = method_pool->stats();
+    mem_lines.push_back(StrFormat(
+        "paged-mem %s: %zu blocks live (peak %zu), %zu sessions at "
+        "%.0f bytes each, sharing %.1fx, %zu recycled, %zu exhaustions",
+        name.c_str(), ms.blocks_live, ms.blocks_peak, ms.sessions,
+        ms.bytes_per_session(), ms.sharing_ratio(), ms.blocks_recycled,
+        ms.exhaustion_events));
     if (serve_options.overload.any_enabled()) {
       overload_lines.push_back(
           FormatOverload(name, executor.overload_stats()));
@@ -820,13 +821,7 @@ Result<int> CmdClusterSim(const FlagSet& flags, std::ostream& out) {
       policy.backfill = spec.batch_backfill;
       rep.scheduler = std::make_shared<batch::BatchScheduler>(policy);
     }
-    if (spec.paged_memory) {
-      lm::PagedMemoryOptions paged;
-      paged.enabled = true;
-      paged.block_span = static_cast<size_t>(spec.block_span);
-      paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
-      rep.block_pool = std::make_shared<lm::BlockPool>(paged);
-    }
+    rep.block_pool = NewBlockPool(spec);
     rep.plan = plans[static_cast<size_t>(r)];
     fleet.push_back(std::move(rep));
   }
@@ -938,10 +933,8 @@ Result<int> CmdClusterSim(const FlagSet& flags, std::ostream& out) {
       rep.scheduler->PublishMetrics(
           &registry, StrFormat("replica%d.batch.", rep.id));
     }
-    if (rep.block_pool != nullptr) {
-      rep.block_pool->PublishMetrics(
-          &registry, StrFormat("replica%d.lm.mem.", rep.id));
-    }
+    rep.block_pool->PublishMetrics(
+        &registry, StrFormat("replica%d.lm.mem.", rep.id));
   }
   const cluster::ClusterReport& report = executor.report();
 
@@ -985,16 +978,13 @@ Result<int> CmdClusterSim(const FlagSet& flags, std::ostream& out) {
         "%zu failovers, %zu misroutes, occupancy %.2f\n",
         rep.id, rep.dispatched, rep.completed, served_here, rep.failovers,
         rep.misroutes, rep.occupancy);
-    const std::shared_ptr<lm::BlockPool>& pool =
-        executor.replica(static_cast<size_t>(rep.id)).block_pool;
-    if (pool != nullptr) {
-      const lm::BlockPoolStats ms = pool->stats();
-      out << StrFormat(
-          "replica %d paged-mem: %zu blocks live (peak %zu), %zu sessions "
-          "at %.0f bytes each, sharing %.1fx, %zu exhaustions\n",
-          rep.id, ms.blocks_live, ms.blocks_peak, ms.sessions,
-          ms.bytes_per_session(), ms.sharing_ratio(), ms.exhaustion_events);
-    }
+    const lm::BlockPoolStats ms =
+        executor.replica(static_cast<size_t>(rep.id)).block_pool->stats();
+    out << StrFormat(
+        "replica %d paged-mem: %zu blocks live (peak %zu), %zu sessions "
+        "at %.0f bytes each, sharing %.1fx, %zu exhaustions\n",
+        rep.id, ms.blocks_live, ms.blocks_peak, ms.sessions,
+        ms.bytes_per_session(), ms.sharing_ratio(), ms.exhaustion_events);
   }
   const std::string metrics_path = flags.GetString("metrics-json", "");
   if (!metrics_path.empty()) {
@@ -1052,17 +1042,11 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
     scheduler = std::make_shared<batch::BatchScheduler>(policy);
   }
   // Shared block pool when the caller wired one (serve-sim), else a
-  // private pool per forecaster under --paged-memory. Created here —
-  // not inside the option structs — so a fallback chain's MultiCast
-  // and LLMTime tiers share one pool.
-  std::shared_ptr<lm::BlockPool> block_pool = spec.block_pool;
-  if (spec.paged_memory && block_pool == nullptr) {
-    lm::PagedMemoryOptions paged;
-    paged.enabled = true;
-    paged.block_span = static_cast<size_t>(spec.block_span);
-    paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
-    block_pool = std::make_shared<lm::BlockPool>(paged);
-  }
+  // private pool per forecaster. Created here — not inside the option
+  // structs — so a fallback chain's MultiCast and LLMTime tiers share
+  // one pool.
+  std::shared_ptr<lm::BlockPool> block_pool =
+      spec.block_pool != nullptr ? spec.block_pool : NewBlockPool(spec);
 
   auto multicast_with = [&](multiplex::MuxKind mux)
       -> Result<std::unique_ptr<forecast::Forecaster>> {
@@ -1210,10 +1194,9 @@ std::string UsageText() {
       "            [--batch-size 8] [--batch-backfill 0|1]\n"
       "            [--speculative (draft-then-verify decode; implies a\n"
       "            decode scheduler)] [--draft-k 4]\n"
-      "            [--paged-memory (block-pooled session state; output\n"
-      "            stays bit-identical)] [--block-span 32]\n"
-      "            [--pool-blocks N (0 = unbounded; at the cap entries\n"
-      "            spill to plain storage)]\n"
+      "            [--block-span 32 (slots per session-memory block,\n"
+      "            4..4096)] [--pool-blocks N (0 = unbounded; at the cap\n"
+      "            entries spill to overflow maps, output unchanged)]\n"
       "            chaos/resilience: [--chaos 0.2] [--chaos-seed N]\n"
       "            [--retries 3] [--redraws 4] [--fallback]\n"
       "            [--classical-fallback (end the chain on the classical\n"
@@ -1232,7 +1215,7 @@ std::string UsageText() {
       "            finish|cancel] [--threads 4] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch] [--batch-size 8]\n"
       "            [--batch-backfill 0|1] [--speculative] [--draft-k 4]\n"
-      "            [--paged-memory] [--block-span 32] [--pool-blocks N]\n"
+      "            [--block-span 32] [--pool-blocks N]\n"
       "            plus the chaos/resilience flags\n"
       "            above (one cache, one decode scheduler and one block\n"
       "            pool are shared per method, across requests; --batch\n"
@@ -1251,7 +1234,7 @@ std::string UsageText() {
       "            chaos: [--replica-chaos 1.0 (expected crashes per\n"
       "            replica over the trace)] [--replica-chaos-seed N]\n"
       "            plus every serve-sim trace/queue/drain/hedge/overload/\n"
-      "            paged-memory/metrics-json flag; each replica gets its\n"
+      "            pool/metrics-json flag; each replica gets its\n"
       "            own prefix cache, decode scheduler and block pool,\n"
       "            crashes fail running work over to surviving replicas,\n"
       "            and health probes eject/readmit replicas from routing\n"

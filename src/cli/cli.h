@@ -101,21 +101,18 @@ struct MethodSpec {
   bool speculative = false;
   /// Maximum draft tokens per step (--draft-k, >= 1).
   int draft_k = 4;
-  /// Paged session memory (--paged-memory): model state lives in
-  /// fixed-span refcounted blocks from a shared pool, so draws and
-  /// cached prompt states share frozen layers at block granularity.
-  /// Forecasts stay bit-identical; only resident bytes change
-  /// (reported under lm.mem.*).
-  bool paged_memory = false;
-  /// Payload slots per block (--block-span).
+  /// Session-memory pool geometry: model state lives in fixed-span
+  /// refcounted blocks, so draws and cached prompt states share frozen
+  /// layers at block granularity (reported under lm.mem.*). Payload
+  /// slots per block (--block-span, in [4, 4096]).
   int block_span = 32;
   /// Pool live-block cap (--pool-blocks); 0 = unbounded. At the cap new
-  /// entries spill to plain storage (still bit-identical) and pool
+  /// entries spill to overflow maps (still bit-identical) and pool
   /// fullness feeds the overload ladder in the sims.
   int pool_blocks = 0;
   /// Externally shared pool (serve-sim wires one across all requests of
-  /// a method); when unset and `paged_memory` is true, MakeForecaster
-  /// creates a private per-forecaster pool.
+  /// a method); when unset MakeForecaster creates a private
+  /// per-forecaster pool.
   std::shared_ptr<lm::BlockPool> block_pool;
 };
 

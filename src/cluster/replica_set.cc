@@ -47,13 +47,8 @@ std::vector<Replica> MakeUniformReplicas(
       policy.backfill = options.batch_backfill;
       rep.scheduler = std::make_shared<batch::BatchScheduler>(policy);
     }
-    if (options.paged_memory) {
-      lm::PagedMemoryOptions paged;
-      paged.enabled = true;
-      paged.block_span = options.block_span;
-      paged.max_blocks = options.pool_blocks;
-      rep.block_pool = std::make_shared<lm::BlockPool>(paged);
-    }
+    rep.block_pool = std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{
+        .block_span = options.block_span, .max_blocks = options.pool_blocks});
     fleet.push_back(std::move(rep));
   }
   return fleet;

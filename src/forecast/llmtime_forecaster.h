@@ -68,15 +68,13 @@ struct LlmTimeOptions {
   bool speculative = false;
   int draft_k = 4;
   forecast::DraftKind draft = forecast::DraftKind::kClassical;
-  /// Paged session memory, forwarded into every per-dimension pipeline
-  /// (same semantics — and the same bit-identity guarantee — as the
+  /// Session-memory pool geometry (same semantics as the
   /// MultiCastOptions fields of the same names). One pool is shared by
   /// all dimensions, so cross-dimension frozen prompt state shares
   /// blocks by refcount.
-  bool paged_memory = false;
   size_t block_span = 32;
   size_t pool_blocks = 0;
-  /// Externally shared pool; overrides `paged_memory` when set.
+  /// Externally shared pool; when set no pool is created.
   std::shared_ptr<lm::BlockPool> block_pool;
 };
 
@@ -107,8 +105,7 @@ class LlmTimeForecaster final : public Forecaster {
     return prefix_cache_;
   }
 
-  /// The pool shared by every per-dimension pipeline; null when paged
-  /// memory is off and no external pool was attached.
+  /// The pool shared by every per-dimension pipeline; never null.
   const std::shared_ptr<lm::BlockPool>& block_pool() const {
     return block_pool_;
   }

@@ -620,15 +620,11 @@ MultiCastForecaster::MultiCastForecaster(const MultiCastOptions& options)
     prefix_cache_ =
         std::make_shared<lm::PrefixCache>(options_.prefix_cache_capacity);
   }
-  if (options_.block_pool != nullptr) {
-    block_pool_ = options_.block_pool;
-  } else if (options_.paged_memory) {
-    lm::PagedMemoryOptions paged;
-    paged.enabled = true;
-    paged.block_span = options_.block_span;
-    paged.max_blocks = options_.pool_blocks;
-    block_pool_ = std::make_shared<lm::BlockPool>(paged);
-  }
+  block_pool_ = options_.block_pool != nullptr
+                    ? options_.block_pool
+                    : std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{
+                          .block_span = options_.block_span,
+                          .max_blocks = options_.pool_blocks});
   // The profile is the single conduit to every model construction site
   // (SimulatedLlm draw stacks, BatchLlm sessions, cache warmers).
   options_.profile.memory_pool = block_pool_;

@@ -12,16 +12,13 @@
 // and adapts the effective context length per position instead of
 // globally.
 //
-// Node tables are layered for Freeze()/Fork() exactly like the n-gram
-// model (see ngram_model.h): frozen layers shared by reference, one
-// private overlay per session, copy-on-first-touch per context key. The
-// shared per-depth log-odds vector is tiny and copied whole on fork.
-//
-// Storage modes mirror ngram_model.h as well: plain per-depth
-// unordered_maps, or — when an enabled BlockPool is attached — one
-// PagedContextStore per layer (keys encode depth) with u16 counts and a
-// plain overflow map for u16-saturated / pool-spilled nodes. The
-// per-node posterior weight stays a full double inside the slot.
+// Nodes live in a LayeredContextStore (lm/paged_store.h) exactly like
+// the n-gram model's counts (see ngram_model.h): frozen layers shared by
+// refcount, one private overlay per session, copy-on-first-write per
+// context key, u16 counts promoted to a u32 overflow entry before they
+// saturate. The per-node posterior weight stays a full double inside
+// the slot. The shared per-depth log-odds vector is tiny and copied
+// whole on fork.
 
 #ifndef MULTICAST_LM_MIXTURE_MODEL_H_
 #define MULTICAST_LM_MIXTURE_MODEL_H_
@@ -29,8 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "lm/language_model.h"
@@ -63,11 +58,10 @@ struct MixtureOptions {
 /// See file comment.
 class MixtureLanguageModel final : public LanguageModel {
  public:
-  /// `pool` as in NGramLanguageModel: accounting sink, and — when
-  /// enabled — the paged-storage source.
+  /// `pool` as in NGramLanguageModel: the block source and session
+  /// accounting sink; without one the model creates its own.
   MixtureLanguageModel(size_t vocab_size, const MixtureOptions& options,
                        std::shared_ptr<BlockPool> pool = nullptr);
-  ~MixtureLanguageModel() override;
 
   void Reset() override;
   void Observe(token::TokenId id) override;
@@ -77,116 +71,81 @@ class MixtureLanguageModel final : public LanguageModel {
   size_t context_length() const override { return observed_; }
 
   bool SupportsFork() const override { return true; }
-  void Freeze() override;
-  bool frozen() const override { return frozen_; }
+  void Freeze() override { store_.Freeze(); }
+  bool frozen() const override { return store_.frozen(); }
   std::unique_ptr<LanguageModel> Fork() const override;
 
-  MemoryFootprint ApproxMemoryBytes() const override;
-  void TallyMemory(MemoryTally* tally) const override;
+  MemoryFootprint ApproxMemoryBytes() const override {
+    return store_.Footprint();
+  }
+  void TallyMemory(MemoryTally* tally) const override { store_.Tally(tally); }
 
   void ObserveAll(const std::vector<token::TokenId>& ids);
-
-  /// True when layers live in paged storage (pool attached and enabled).
-  bool paged() const { return paged_; }
 
   /// Number of context nodes materialized so far, in the effective
   /// (layer-merged) view.
   size_t num_nodes() const;
 
   /// Number of frozen base layers under this session (tests only).
-  size_t num_base_layers() const {
-    return paged_ ? paged_base_.size() : base_.size();
-  }
+  size_t num_base_layers() const { return store_.num_base_layers(); }
 
  private:
-  struct Node {
-    std::vector<uint32_t> counts;
-    uint32_t total = 0;
-    /// Posterior weight of this node's own KT estimator within the
-    /// mixture at its depth (log-domain odds vs the shallower mixture).
-    double log_self_odds = 0.0;
-  };
-  using Table = std::unordered_map<uint64_t, Node>;
-
-  // One copy-on-write level: nodes[d] maps packed depth-d contexts to
-  // their node. Overlay entries shadow frozen ones (copied on first
-  // touch, so always complete).
-  struct Layer {
-    std::vector<Table> nodes;
-  };
-
-  // Paged twin of Layer (see ngram_model.h): one store for all depths
-  // plus the overflow map; `store` null in an overflow-only layer.
-  struct PagedLayer {
-    std::shared_ptr<const PagedContextStore> store;
-    std::shared_ptr<const Table> overflow;
-  };
-
-  // Unified read view over both storage modes (see ngram_model.h).
-  struct NodeRef {
-    bool found = false;
-    const uint32_t* wide = nullptr;
-    const uint16_t* narrow = nullptr;
-    const std::byte* slot = nullptr;  // narrow slot base, for seeding
-    uint32_t total = 0;
-    double log_self_odds = 0.0;
-    double Count(size_t s) const {
-      if (narrow != nullptr) return static_cast<double>(narrow[s]);
-      if (wide != nullptr) return static_cast<double>(wide[s]);
-      return 0.0;
+  // Slot layout: [f64 log_self_odds][u32 total][u16 flags]
+  // [u16 counts[vocab]]. The store 8-aligns every slot, so the leading
+  // double is aligned; the count array's offset (14) is even. The
+  // log-odds are the posterior weight of this node's own KT estimator
+  // within the mixture at its depth, against the shallower mixture.
+  struct Slot {
+    static constexpr size_t kLsoOffset = 0;
+    static constexpr size_t kTotalOffset = 8;
+    static constexpr size_t kFlagsOffset = 12;
+    static constexpr size_t kCountsOffset = 14;
+    struct Wide {
+      std::vector<uint32_t> counts;
+      uint32_t total = 0;
+      double log_self_odds = 0.0;
+    };
+    size_t vocab_size;
+    size_t slot_bytes() const {
+      return kCountsOffset + sizeof(uint16_t) * vocab_size;
     }
+    Wide Widen(const std::byte* slot) const;
+  };
+
+  // Read view of one node, narrow or wide.
+  struct NodeView {
+    const uint16_t* narrow = nullptr;
+    const uint32_t* wide = nullptr;
+    uint32_t total = 0;
+    double log_self_odds = 0.0;
   };
 
   // Packs the most recent `depth` tokens into a 64-bit key (5 bits per
   // token, depth tag disambiguates).
   uint64_t PackContext(int depth) const;
 
+  // The node for `key`, or false when no layer holds it.
+  bool LookupNode(uint64_t key, NodeView* node) const;
+
   // KT predictive probability of `symbol` at `node`.
-  double KtProb(const Node& node, size_t symbol) const;
-  double KtProbRef(const NodeRef& node, size_t symbol) const;
+  double KtProb(const NodeView& node, size_t symbol) const;
 
-  // Topmost frozen-layer node for a key, or null.
-  const Node* FindFrozen(size_t depth, uint64_t key) const;
-  // Effective node (overlay first, then frozen), or null.
-  const Node* FindNode(size_t depth, uint64_t key) const;
-  // Writable overlay node; `second` is true when the node is logically
-  // fresh (absent from overlay *and* every frozen layer).
-  std::pair<Node*, bool> MutableNode(size_t depth, uint64_t key);
+  // Posterior weight update (odds += llr, clamped) and count update of
+  // the node for `key`; a fresh node starts at `prior_log_odds`.
+  void UpdateNode(uint64_t key, size_t symbol, double llr,
+                  double prior_log_odds);
 
-  // Paged twins.
-  size_t SlotBytes() const;
-  NodeRef LookupFrozenPaged(uint64_t key) const;
-  NodeRef LookupNodePaged(uint64_t key) const;
-  // Unified lookup dispatching on the storage mode.
-  NodeRef LookupNode(size_t depth, uint64_t key) const;
-  // Phase-2 node update (weight += llr with clamp, count increments),
-  // with copy-on-first-touch, u16 promotion and exhaustion spill.
-  void UpdateNodePaged(uint64_t key, size_t symbol, double llr,
-                       double prior_log_odds);
-  void CompactPagedBase();
-
-  // Walks the context path computing the mixture distribution in-place;
-  // also returns the per-depth node keys so Observe can update them.
-  void MixturePath(std::vector<double>* mix, std::vector<uint64_t>* keys) const;
+  // Walks the context path computing the mixture distribution in-place.
+  void MixturePath(std::vector<double>* mix) const;
 
   size_t vocab_size_;
   MixtureOptions options_;
-  std::shared_ptr<BlockPool> pool_;
-  bool paged_ = false;
   size_t observed_ = 0;
   std::deque<token::TokenId> recent_;
-  // Frozen base layers, bottom to top; shared read-only with every fork.
-  std::vector<std::shared_ptr<const Layer>> base_;
-  // This session's private overlay.
-  Layer local_;
-  // Paged-mode twins of base_ / local_.
-  std::vector<PagedLayer> paged_base_;
-  std::unique_ptr<PagedContextStore> paged_local_;
-  Table overflow_local_;
+  LayeredContextStore<Slot> store_;
   // Shared log-odds component per depth (see depth_learning_rate).
   // Per-session state: copied, not shared, on fork.
   std::vector<double> depth_log_odds_;
-  bool frozen_ = false;
 };
 
 }  // namespace lm

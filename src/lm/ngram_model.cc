@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/status.h"
 
@@ -12,84 +11,38 @@ namespace lm {
 namespace {
 constexpr int kBitsPerToken = 5;
 constexpr int kMaxSupportedOrder = 12;
-
-// Paged slot layout (see header): [u32 total][u16 types][u16 flags]
-// [u16 counts[vocab]]. Scalars go through memcpy (aliasing-safe); the
-// u16 count array sits at offset 8 of an 8-aligned slot, so the
-// reinterpret_cast below is aligned.
-constexpr size_t kTotalOffset = 0;
-constexpr size_t kTypesOffset = 4;
-constexpr size_t kFlagsOffset = 6;
-constexpr size_t kCountsOffset = 8;
-constexpr uint16_t kWideFlag = 1;  // counts live in the overflow map
-
-uint32_t LoadU32(const std::byte* p, size_t off) {
-  uint32_t v;
-  std::memcpy(&v, p + off, sizeof(v));
-  return v;
-}
-uint16_t LoadU16(const std::byte* p, size_t off) {
-  uint16_t v;
-  std::memcpy(&v, p + off, sizeof(v));
-  return v;
-}
-void StoreU32(std::byte* p, size_t off, uint32_t v) {
-  std::memcpy(p + off, &v, sizeof(v));
-}
-void StoreU16(std::byte* p, size_t off, uint16_t v) {
-  std::memcpy(p + off, &v, sizeof(v));
-}
-const uint16_t* NarrowCounts(const std::byte* p) {
-  return reinterpret_cast<const uint16_t*>(p + kCountsOffset);
-}
-uint16_t* NarrowCounts(std::byte* p) {
-  return reinterpret_cast<uint16_t*>(p + kCountsOffset);
-}
 }  // namespace
+
+NGramLanguageModel::Slot::Wide NGramLanguageModel::Slot::Widen(
+    const std::byte* slot) const {
+  Wide wide;
+  wide.counts.assign(vocab_size, 0);
+  if (slot == nullptr) return wide;
+  const uint16_t* counts = NarrowCounts(slot, kCountsOffset);
+  std::copy(counts, counts + vocab_size, wide.counts.begin());
+  wide.total = LoadU32(slot, kTotalOffset);
+  wide.types = LoadU16(slot, kTypesOffset);
+  return wide;
+}
 
 NGramLanguageModel::NGramLanguageModel(size_t vocab_size,
                                        const NGramOptions& options,
                                        std::shared_ptr<BlockPool> pool)
-    : vocab_size_(vocab_size), options_(options), pool_(std::move(pool)) {
+    : vocab_size_(vocab_size),
+      options_(options),
+      store_(Slot{vocab_size}, std::move(pool),
+             options.max_base_layers) {
   MC_CHECK(vocab_size_ >= 2 && vocab_size_ <= 31);
   MC_CHECK(options_.max_order >= 1 &&
            options_.max_order <= kMaxSupportedOrder);
   MC_CHECK(options_.backoff_boost >= 0.0);
   MC_CHECK(options_.uniform_mix >= 0.0 && options_.uniform_mix < 1.0);
-  MC_CHECK(options_.max_base_layers >= 1);
-  paged_ = pool_ != nullptr && pool_->paged();
-  if (paged_) {
-    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-  } else {
-    local_.counts.resize(static_cast<size_t>(options_.max_order) + 1);
-  }
-}
-
-NGramLanguageModel::~NGramLanguageModel() {
-  // A model destroyed while still mutable was a decode session; frozen
-  // models dying are cache entries / shared bases, not sessions.
-  if (pool_ != nullptr && !frozen_) {
-    MemoryFootprint fp = ApproxMemoryBytes();
-    pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes);
-  }
-}
-
-size_t NGramLanguageModel::SlotBytes() const {
-  return kCountsOffset + sizeof(uint16_t) * vocab_size_;
 }
 
 void NGramLanguageModel::Reset() {
   observed_ = 0;
   recent_.clear();
-  if (paged_) {
-    paged_base_.clear();
-    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-    overflow_local_.clear();
-  } else {
-    base_.clear();
-    for (auto& table : local_.counts) table.clear();
-  }
-  frozen_ = false;
+  store_.Reset();
 }
 
 uint64_t NGramLanguageModel::PackContext(int order) const {
@@ -104,205 +57,38 @@ uint64_t NGramLanguageModel::PackContext(int order) const {
   return key;
 }
 
-const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindFrozen(
-    size_t order, uint64_t key) const {
-  for (auto it = base_.rbegin(); it != base_.rend(); ++it) {
-    const Table& table = (*it)->counts[order];
-    auto found = table.find(key);
-    if (found != table.end()) return &found->second;
-  }
-  return nullptr;
-}
-
-const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindEntry(
-    size_t order, uint64_t key) const {
-  const Table& table = local_.counts[order];
-  auto found = table.find(key);
-  if (found != table.end()) return &found->second;
-  return FindFrozen(order, key);
-}
-
-NGramLanguageModel::ContextCounts& NGramLanguageModel::MutableEntry(
-    size_t order, uint64_t key) {
-  auto [it, inserted] = local_.counts[order].try_emplace(key);
-  if (inserted) {
-    // Copy-on-first-touch: seed the overlay entry with the frozen view
-    // so its counters equal what a monolithic model would hold.
-    if (const ContextCounts* under = FindFrozen(order, key)) {
-      it->second = *under;
-    }
-  }
-  return it->second;
-}
-
-NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
-    uint64_t key) const {
-  CountsRef ref;
-  for (auto it = paged_base_.rbegin(); it != paged_base_.rend(); ++it) {
-    if (it->store != nullptr) {
-      if (const std::byte* p = it->store->Find(key)) {
-        if (LoadU16(p, kFlagsOffset) & kWideFlag) {
-          auto found = it->overflow->find(key);
-          MC_CHECK(found != it->overflow->end());
-          const ContextCounts& cc = found->second;
-          ref.found = true;
-          ref.wide = cc.next.data();
-          ref.total = cc.total;
-          ref.types = cc.types;
-        } else {
-          ref.found = true;
-          ref.narrow = NarrowCounts(p);
-          ref.slot = p;
-          ref.total = LoadU32(p, kTotalOffset);
-          ref.types = LoadU16(p, kTypesOffset);
-        }
-        return ref;
+void NGramLanguageModel::Count(uint64_t key, size_t w) {
+  auto entry = store_.Write(key);
+  if (entry.slot != nullptr) {
+    std::byte* p = entry.slot;
+    uint16_t* counts = NarrowCounts(p, Slot::kCountsOffset);
+    if (counts[w] != 0xffff) {
+      if (counts[w] == 0) {
+        StoreU16(p, Slot::kTypesOffset,
+                 static_cast<uint16_t>(LoadU16(p, Slot::kTypesOffset) + 1));
       }
-    }
-    if (!it->overflow->empty()) {
-      auto found = it->overflow->find(key);
-      if (found != it->overflow->end()) {
-        const ContextCounts& cc = found->second;
-        ref.found = true;
-        ref.wide = cc.next.data();
-        ref.total = cc.total;
-        ref.types = cc.types;
-        return ref;
-      }
-    }
-  }
-  return ref;
-}
-
-NGramLanguageModel::CountsRef NGramLanguageModel::LookupPaged(
-    uint64_t key) const {
-  CountsRef ref;
-  if (const std::byte* p = paged_local_->Find(key)) {
-    if (LoadU16(p, kFlagsOffset) & kWideFlag) {
-      auto found = overflow_local_.find(key);
-      MC_CHECK(found != overflow_local_.end());
-      const ContextCounts& cc = found->second;
-      ref.found = true;
-      ref.wide = cc.next.data();
-      ref.total = cc.total;
-      ref.types = cc.types;
-    } else {
-      ref.found = true;
-      ref.narrow = NarrowCounts(p);
-      ref.slot = p;
-      ref.total = LoadU32(p, kTotalOffset);
-      ref.types = LoadU16(p, kTypesOffset);
-    }
-    return ref;
-  }
-  if (!overflow_local_.empty()) {
-    auto found = overflow_local_.find(key);
-    if (found != overflow_local_.end()) {
-      const ContextCounts& cc = found->second;
-      ref.found = true;
-      ref.wide = cc.next.data();
-      ref.total = cc.total;
-      ref.types = cc.types;
-      return ref;
-    }
-  }
-  return LookupFrozenPaged(key);
-}
-
-void NGramLanguageModel::ObservePaged(uint64_t key, token::TokenId id) {
-  const size_t w = static_cast<size_t>(id);
-  // The plain-mode increment, applied to a wide (u32) overflow entry.
-  auto bump_wide = [&](ContextCounts& cc) {
-    if (cc.next.empty()) cc.next.assign(vocab_size_, 0);
-    if (cc.next[w] == 0) ++cc.types;
-    ++cc.next[w];
-    ++cc.total;
-  };
-
-  std::byte* p = paged_local_->FindMutable(key);
-  if (p == nullptr) {
-    auto spilled = overflow_local_.find(key);
-    if (spilled != overflow_local_.end()) {
-      bump_wide(spilled->second);
+      ++counts[w];
+      StoreU32(p, Slot::kTotalOffset, LoadU32(p, Slot::kTotalOffset) + 1);
       return;
     }
-    // First touch this session: seed from the frozen view, then write.
-    CountsRef under = LookupFrozenPaged(key);
-    if (under.found && under.wide != nullptr) {
-      // Frozen entry already wide: the overlay copy is wide too.
-      ContextCounts& cc = overflow_local_[key];
-      cc.next.assign(under.wide, under.wide + vocab_size_);
-      cc.total = under.total;
-      cc.types = under.types;
-      if (std::byte* slot = paged_local_->Insert(key)) {
-        StoreU16(slot, kFlagsOffset, kWideFlag);
-      }
-      // (On pool exhaustion the entry lives in the overflow map alone —
-      // the spill path LookupPaged/the find above already handle.)
-      bump_wide(cc);
-      return;
-    }
-    p = paged_local_->Insert(key);
-    if (p == nullptr) {
-      // Pool exhausted: spill to the plain overflow map. Same integers,
-      // same output — the pool has already counted the event and the
-      // admission ladder sheds on its fullness.
-      ContextCounts& cc = overflow_local_[key];
-      if (under.found) {
-        cc.next.assign(vocab_size_, 0);
-        for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = under.narrow[i];
-        cc.total = under.total;
-        cc.types = under.types;
-      }
-      bump_wide(cc);
-      return;
-    }
-    if (under.found) std::memcpy(p, under.slot, SlotBytes());
-  } else if (LoadU16(p, kFlagsOffset) & kWideFlag) {
-    auto found = overflow_local_.find(key);
-    MC_CHECK(found != overflow_local_.end());
-    bump_wide(found->second);
-    return;
-  }
-
-  uint16_t* counts = NarrowCounts(p);
-  if (counts[w] == 0xffff) {
     // u16 saturation: promote the whole entry to a wide overflow entry.
-    ContextCounts& cc = overflow_local_[key];
-    cc.next.assign(vocab_size_, 0);
-    for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = counts[i];
-    cc.total = LoadU32(p, kTotalOffset);
-    cc.types = LoadU16(p, kTypesOffset);
-    StoreU16(p, kFlagsOffset, kWideFlag);
-    bump_wide(cc);
-    return;
+    entry.wide = &store_.Promote(key, p);
   }
-  if (counts[w] == 0) {
-    StoreU16(p, kTypesOffset,
-             static_cast<uint16_t>(LoadU16(p, kTypesOffset) + 1));
-  }
-  ++counts[w];
-  StoreU32(p, kTotalOffset, LoadU32(p, kTotalOffset) + 1);
+  Slot::Wide& cc = *entry.wide;
+  if (cc.counts[w] == 0) ++cc.types;
+  ++cc.counts[w];
+  ++cc.total;
 }
 
 void NGramLanguageModel::Observe(token::TokenId id) {
-  MC_CHECK(!frozen_);  // Fork() a session instead of mutating a frozen base.
+  MC_CHECK(!frozen());  // Fork() a session instead of mutating a frozen base.
   MC_CHECK(id >= 0 && static_cast<size_t>(id) < vocab_size_);
   // Record `id` as the continuation of every context order that is fully
   // available in the window (order 0 = unigram always is).
   int max_ctx = static_cast<int>(std::min<size_t>(
       recent_.size(), static_cast<size_t>(options_.max_order)));
   for (int order = 0; order <= max_ctx; ++order) {
-    if (paged_) {
-      ObservePaged(PackContext(order), id);
-      continue;
-    }
-    ContextCounts& entry =
-        MutableEntry(static_cast<size_t>(order), PackContext(order));
-    if (entry.next.empty()) entry.next.assign(vocab_size_, 0);
-    if (entry.next[static_cast<size_t>(id)] == 0) ++entry.types;
-    ++entry.next[static_cast<size_t>(id)];
-    ++entry.total;
+    Count(PackContext(order), static_cast<size_t>(id));
   }
   recent_.push_back(id);
   if (recent_.size() > static_cast<size_t>(options_.max_order)) {
@@ -320,27 +106,33 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
   // for each order k with counts, blend
   //   P_k(w) = (c(h_k, w) + (T(h_k) + boost) * P_{k-1}(w))
   //            / (c(h_k) + T(h_k) + boost).
+  // Narrow (u16) and wide (u32) counts cast to the same doubles.
   std::vector<double>& probs = *out;
   probs.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
   int max_ctx = static_cast<int>(std::min<size_t>(
       recent_.size(), static_cast<size_t>(options_.max_order)));
   for (int order = 0; order <= max_ctx; ++order) {
-    const uint64_t key = PackContext(order);
-    CountsRef ref;
-    if (paged_) {
-      ref = LookupPaged(key);
-    } else if (const ContextCounts* cc =
-                   FindEntry(static_cast<size_t>(order), key)) {
-      ref.found = true;
-      ref.wide = cc->next.data();
-      ref.total = cc->total;
-      ref.types = cc->types;
+    const auto ref = store_.Find(PackContext(order));
+    const uint16_t* narrow = nullptr;
+    const uint32_t* wide = nullptr;
+    uint32_t total = 0;
+    uint32_t types = 0;
+    if (ref.slot != nullptr) {
+      narrow = NarrowCounts(ref.slot, Slot::kCountsOffset);
+      total = LoadU32(ref.slot, Slot::kTotalOffset);
+      types = LoadU16(ref.slot, Slot::kTypesOffset);
+    } else if (ref.wide != nullptr) {
+      wide = ref.wide->counts.data();
+      total = ref.wide->total;
+      types = ref.wide->types;
     }
-    if (!ref.found || ref.total == 0) continue;
-    double lambda = static_cast<double>(ref.types) + options_.backoff_boost;
-    double denom = static_cast<double>(ref.total) + lambda;
+    if (total == 0) continue;
+    double lambda = static_cast<double>(types) + options_.backoff_boost;
+    double denom = static_cast<double>(total) + lambda;
     for (size_t w = 0; w < vocab_size_; ++w) {
-      probs[w] = (ref.Count(w) + lambda * probs[w]) / denom;
+      const double c = narrow != nullptr ? static_cast<double>(narrow[w])
+                                         : static_cast<double>(wide[w]);
+      probs[w] = (c + lambda * probs[w]) / denom;
     }
   }
 
@@ -363,227 +155,23 @@ std::vector<double> NGramLanguageModel::NextDistribution() const {
   return probs;
 }
 
-void NGramLanguageModel::CompactPagedBase() {
-  // Compact the frozen chain: when no layer has overflow entries, the
-  // store-level MergeCompact shares (adopts) mostly-live blocks by
-  // refcount and copies only the rest — copy-on-write at block
-  // granularity. With overflow entries in play (u16-saturated counts or
-  // pool-exhaustion spills — both rare by construction) the merge falls
-  // back to one plain overflow-only layer; correct, just not paged.
-  bool any_overflow = false;
-  for (const PagedLayer& layer : paged_base_) {
-    if (!layer.overflow->empty() || layer.store == nullptr) {
-      any_overflow = true;
-      break;
-    }
-  }
-  if (!any_overflow) {
-    std::vector<std::shared_ptr<const PagedContextStore>> stores;
-    stores.reserve(paged_base_.size());
-    for (const PagedLayer& layer : paged_base_) stores.push_back(layer.store);
-    auto merged = PagedContextStore::MergeCompact(stores, pool_);
-    if (merged == nullptr) return;  // pool exhausted: keep the chain
-    paged_base_.clear();
-    paged_base_.push_back(
-        PagedLayer{std::move(merged), std::make_shared<const Table>()});
-    return;
-  }
-  auto merged_overflow = std::make_shared<Table>();
-  for (const PagedLayer& layer : paged_base_) {
-    if (layer.store != nullptr) {
-      layer.store->ForEach([&](uint64_t key, const std::byte* p) {
-        if (LoadU16(p, kFlagsOffset) & kWideFlag) return;  // overflow wins
-        ContextCounts& cc = (*merged_overflow)[key];
-        cc.next.assign(vocab_size_, 0);
-        const uint16_t* counts = NarrowCounts(p);
-        for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = counts[i];
-        cc.total = LoadU32(p, kTotalOffset);
-        cc.types = LoadU16(p, kTypesOffset);
-      });
-    }
-    for (const auto& [key, cc] : *layer.overflow) {
-      (*merged_overflow)[key] = cc;
-    }
-  }
-  paged_base_.clear();
-  paged_base_.push_back(PagedLayer{nullptr, std::move(merged_overflow)});
-}
-
-void NGramLanguageModel::Freeze() {
-  if (frozen_) return;
-  frozen_ = true;
-  if (paged_) {
-    if (paged_local_->size() > 0 || !overflow_local_.empty()) {
-      // Zero-copy transition: the overlay's blocks become the frozen
-      // layer's blocks; no payload moves.
-      paged_base_.push_back(PagedLayer{
-          std::shared_ptr<const PagedContextStore>(std::move(paged_local_)),
-          std::make_shared<const Table>(std::move(overflow_local_))});
-      paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-      overflow_local_ = Table{};
-    }
-    if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
-    return;
-  }
-  bool local_nonempty = false;
-  for (const Table& table : local_.counts) {
-    if (!table.empty()) {
-      local_nonempty = true;
-      break;
-    }
-  }
-  if (local_nonempty) {
-    auto frozen = std::make_shared<Layer>(std::move(local_));
-    local_ = Layer{};
-    local_.counts.resize(static_cast<size_t>(options_.max_order) + 1);
-    base_.push_back(std::move(frozen));
-  }
-  if (base_.size() > options_.max_base_layers) {
-    // Compact: merge bottom-up so topmost (newest) entries win. Forks
-    // taken before this point keep their own shared_ptrs to the old
-    // layers, so compaction never invalidates live sessions.
-    auto merged = std::make_shared<Layer>();
-    merged->counts.resize(static_cast<size_t>(options_.max_order) + 1);
-    for (const auto& layer : base_) {
-      for (size_t order = 0; order < layer->counts.size(); ++order) {
-        for (const auto& [key, cc] : layer->counts[order]) {
-          merged->counts[order][key] = cc;
-        }
-      }
-    }
-    base_.clear();
-    base_.push_back(std::move(merged));
-  }
-}
-
 std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
-  MC_CHECK(frozen_);  // Freeze() before forking decode sessions.
-  auto fork =
-      std::make_unique<NGramLanguageModel>(vocab_size_, options_, pool_);
+  MC_CHECK(frozen());  // Freeze() before forking decode sessions.
+  auto fork = std::make_unique<NGramLanguageModel>(vocab_size_, options_,
+                                                   store_.pool());
   fork->observed_ = observed_;
   fork->recent_ = recent_;
-  fork->base_ = base_;
-  // Block-granularity sharing: the fork's refcounts on the frozen
-  // stores (and, transitively, their blocks) are the entire copy.
-  fork->paged_base_ = paged_base_;
+  fork->store_.ShareBase(store_);
   return fork;
 }
 
 size_t NGramLanguageModel::num_entries() const {
-  if (paged_) {
-    // Effective view: topmost layer wins per key.
-    std::unordered_map<uint64_t, uint32_t> effective;
-    auto fold = [&](const PagedContextStore* store, const Table& overflow) {
-      if (store != nullptr) {
-        store->ForEach([&](uint64_t key, const std::byte* p) {
-          if (LoadU16(p, kFlagsOffset) & kWideFlag) return;
-          effective[key] = LoadU16(p, kTypesOffset);
-        });
-      }
-      for (const auto& [key, cc] : overflow) effective[key] = cc.types;
-    };
-    for (const PagedLayer& layer : paged_base_) {
-      fold(layer.store.get(), *layer.overflow);
-    }
-    fold(paged_local_.get(), overflow_local_);
-    size_t n = 0;
-    for (const auto& [key, types] : effective) {
-      (void)key;
-      n += types;
-    }
-    return n;
-  }
   size_t n = 0;
-  for (size_t order = 0; order < local_.counts.size(); ++order) {
-    // Effective view: topmost layer wins per key.
-    std::unordered_map<uint64_t, const ContextCounts*> effective;
-    for (const auto& layer : base_) {
-      for (const auto& [key, cc] : layer->counts[order]) {
-        effective[key] = &cc;
-      }
-    }
-    for (const auto& [key, cc] : local_.counts[order]) {
-      effective[key] = &cc;
-    }
-    for (const auto& [key, cc] : effective) {
-      (void)key;
-      n += cc->types;
-    }
-  }
+  store_.ForEachEffective([&](uint64_t, const auto& ref) {
+    n += ref.slot != nullptr ? LoadU16(ref.slot, Slot::kTypesOffset)
+                             : ref.wide->types;
+  });
   return n;
-}
-
-MemoryFootprint NGramLanguageModel::ApproxMemoryBytes() const {
-  // Malloc model from paged_store.h: node chunk + bucket pointer +
-  // out-of-line count vector per plain-table entry; block + index
-  // chunks for paged stores.
-  auto table_bytes = [](const Table& table) {
-    size_t b = 0;
-    for (const auto& [key, cc] : table) {
-      (void)key;
-      b += ApproxMapEntryBytes(
-          sizeof(void*) + sizeof(std::pair<const uint64_t, ContextCounts>),
-          cc.next.empty() ? 0 : cc.next.capacity() * sizeof(uint32_t));
-    }
-    return b;
-  };
-  MemoryFootprint fp;
-  if (paged_) {
-    fp.overlay_bytes =
-        paged_local_->MemoryBytes() + table_bytes(overflow_local_);
-    for (const PagedLayer& layer : paged_base_) {
-      if (layer.store != nullptr) fp.base_bytes += layer.store->MemoryBytes();
-      fp.base_bytes += table_bytes(*layer.overflow);
-    }
-    return fp;
-  }
-  for (const Table& table : local_.counts) {
-    fp.overlay_bytes += table_bytes(table);
-  }
-  for (const auto& layer : base_) {
-    for (const Table& table : layer->counts) {
-      fp.base_bytes += table_bytes(table);
-    }
-  }
-  return fp;
-}
-
-void NGramLanguageModel::TallyMemory(MemoryTally* tally) const {
-  MemoryFootprint own = ApproxMemoryBytes();
-  tally->bytes += own.overlay_bytes;
-  // Frozen layers are shared; count each identity once across the tally.
-  auto layer_once = [&](const void* identity, size_t bytes) {
-    if (identity != nullptr && tally->seen.insert(identity).second) {
-      tally->bytes += bytes;
-    }
-  };
-  auto table_bytes = [](const Table& table) {
-    size_t b = 0;
-    for (const auto& [key, cc] : table) {
-      (void)key;
-      b += ApproxMapEntryBytes(
-          sizeof(void*) + sizeof(std::pair<const uint64_t, ContextCounts>),
-          cc.next.empty() ? 0 : cc.next.capacity() * sizeof(uint32_t));
-    }
-    return b;
-  };
-  if (paged_) {
-    for (const PagedLayer& layer : paged_base_) {
-      size_t bytes = table_bytes(*layer.overflow);
-      if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
-      const void* identity = layer.store != nullptr
-                                 ? static_cast<const void*>(layer.store.get())
-                                 : static_cast<const void*>(
-                                       layer.overflow.get());
-      layer_once(identity, bytes);
-    }
-    return;
-  }
-  for (const auto& layer : base_) {
-    size_t bytes = 0;
-    for (const Table& table : layer->counts) bytes += table_bytes(table);
-    layer_once(layer.get(), bytes);
-  }
 }
 
 }  // namespace lm

@@ -10,25 +10,14 @@
 // (required for constrained sampling — masking must never zero out the
 // entire support).
 //
-// Count tables are layered to support Freeze()/Fork() (the prefix-cache
-// contract in language_model.h): frozen layers are immutable and shared
-// by reference between forks; each live session writes only its own
-// overlay layer. The first write to a context key copies that key's
-// full entry from the frozen view into the overlay (vocab <= 31, so a
-// copy is at most 31 counters), after which reads and increments hit
-// the overlay copy — byte-for-byte the same integers a monolithic model
-// would hold, so every downstream float op is bit-identical.
-//
-// Layers have two storage modes (chosen by the BlockPool handed to the
-// constructor — see lm/paged_store.h):
-//   * plain: one unordered_map per order, counts in u32 vectors — the
-//     original representation, kept for differential testing.
-//   * paged: one PagedContextStore per layer (context keys already
-//     encode their order), counts packed as u16 in fixed-size slots
-//     drawn from refcounted pool blocks. Entries whose counts outgrow
-//     u16, and entries the pool had no block for (exhaustion), live in
-//     a plain per-layer overflow map — both still hold exactly the
-//     integers the plain mode holds, so output is bit-identical.
+// Counts live in a LayeredContextStore (lm/paged_store.h), which makes
+// Freeze()/Fork() (the prefix-cache contract in language_model.h) a
+// matter of sharing frozen layers by refcount; each live session writes
+// only its own overlay. Context keys encode their order, so one store
+// per layer holds every order. A slot packs one context's counts as
+// u16; a count about to pass 65535 promotes its entry to a u32 overflow
+// entry. Either way the model holds exactly the integers a monolithic
+// model would hold, so every downstream float op is bit-identical.
 
 #ifndef MULTICAST_LM_NGRAM_MODEL_H_
 #define MULTICAST_LM_NGRAM_MODEL_H_
@@ -36,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "lm/language_model.h"
@@ -67,13 +55,11 @@ struct NGramOptions {
 /// See file comment.
 class NGramLanguageModel final : public LanguageModel {
  public:
-  /// `vocab_size` must be <= 31 (tokens pack into 5 bits each).
-  /// `pool`, when set, receives session byte accounting; when it is
-  /// additionally enabled (PagedMemoryOptions::enabled) the layers use
-  /// paged storage drawn from it.
+  /// `vocab_size` must be <= 31 (tokens pack into 5 bits each). Layers
+  /// draw blocks from `pool` and report session bytes to it; without
+  /// one the model creates its own unbounded pool.
   NGramLanguageModel(size_t vocab_size, const NGramOptions& options,
                      std::shared_ptr<BlockPool> pool = nullptr);
-  ~NGramLanguageModel() override;
 
   void Reset() override;
   void Observe(token::TokenId id) override;
@@ -83,19 +69,19 @@ class NGramLanguageModel final : public LanguageModel {
   size_t context_length() const override { return observed_; }
 
   bool SupportsFork() const override { return true; }
-  void Freeze() override;
-  bool frozen() const override { return frozen_; }
+  void Freeze() override { store_.Freeze(); }
+  bool frozen() const override { return store_.frozen(); }
   std::unique_ptr<LanguageModel> Fork() const override;
 
-  MemoryFootprint ApproxMemoryBytes() const override;
-  void TallyMemory(MemoryTally* tally) const override;
+  MemoryFootprint ApproxMemoryBytes() const override {
+    return store_.Footprint();
+  }
+  void TallyMemory(MemoryTally* tally) const override { store_.Tally(tally); }
 
   /// Convenience: observes a whole token sequence.
   void ObserveAll(const std::vector<token::TokenId>& ids);
 
   const NGramOptions& options() const { return options_; }
-  /// True when layers live in paged storage (pool attached and enabled).
-  bool paged() const { return paged_; }
 
   /// Number of distinct (context, next) pairs currently counted, across
   /// all orders, in the effective (layer-merged) view. Exposed for tests
@@ -103,53 +89,26 @@ class NGramLanguageModel final : public LanguageModel {
   size_t num_entries() const;
 
   /// Number of frozen base layers under this session (tests only).
-  size_t num_base_layers() const {
-    return paged_ ? paged_base_.size() : base_.size();
-  }
+  size_t num_base_layers() const { return store_.num_base_layers(); }
 
  private:
-  // Per-context counts: next-token counts, their total, and the number of
-  // distinct next-token types (Witten–Bell's T(h)).
-  struct ContextCounts {
-    std::vector<uint32_t> next;
-    uint32_t total = 0;
-    uint32_t types = 0;
-  };
-  using Table = std::unordered_map<uint64_t, ContextCounts>;
-
-  // One copy-on-write level: counts[k] holds order-k contexts
-  // (k = 0 .. max_order; order 0 is the unigram table under the single
-  // empty-context key). An entry shadows any entry with the same key in
-  // lower layers — it was copied from the effective view when first
-  // touched, so it is always the complete, current state of its key.
-  struct Layer {
-    std::vector<Table> counts;
-  };
-
-  // Paged twin of Layer: one store for every order (keys encode their
-  // order) plus the overflow map for wide-promoted / pool-spilled
-  // entries. `store` may be null in an overflow-only layer (the
-  // compaction fallback when overflow entries exist).
-  struct PagedLayer {
-    std::shared_ptr<const PagedContextStore> store;
-    std::shared_ptr<const Table> overflow;
-  };
-
-  // Unified read view over both storage modes: counts live behind
-  // either a u32 array (plain tables, wide overflow entries) or a u16
-  // slot array (paged). Equal integers cast to equal doubles, so the
-  // blend below is bit-identical across modes.
-  struct CountsRef {
-    bool found = false;
-    const uint32_t* wide = nullptr;
-    const uint16_t* narrow = nullptr;
-    const std::byte* slot = nullptr;  // narrow slot base, for seeding
-    uint32_t total = 0;
-    uint32_t types = 0;
-    double Count(size_t w) const {
-      return narrow != nullptr ? static_cast<double>(narrow[w])
-                               : static_cast<double>(wide[w]);
+  // Slot layout: [u32 total][u16 types][u16 flags][u16 counts[vocab]],
+  // where types is Witten–Bell's T(h), the distinct next tokens seen.
+  struct Slot {
+    static constexpr size_t kTotalOffset = 0;
+    static constexpr size_t kTypesOffset = 4;
+    static constexpr size_t kFlagsOffset = 6;
+    static constexpr size_t kCountsOffset = 8;
+    struct Wide {
+      std::vector<uint32_t> counts;
+      uint32_t total = 0;
+      uint32_t types = 0;
+    };
+    size_t vocab_size;
+    size_t slot_bytes() const {
+      return kCountsOffset + sizeof(uint16_t) * vocab_size;
     }
+    Wide Widen(const std::byte* slot) const;
   };
 
   // Packs the last `order` tokens of the recent-context window into a
@@ -157,37 +116,15 @@ class NGramLanguageModel final : public LanguageModel {
   // order is encoded in the key.
   uint64_t PackContext(int order) const;
 
-  // Topmost frozen-layer entry for a key, or null.
-  const ContextCounts* FindFrozen(size_t order, uint64_t key) const;
-  // Effective entry for a key (overlay first, then frozen), or null.
-  const ContextCounts* FindEntry(size_t order, uint64_t key) const;
-  // Writable overlay entry for a key, copied from the frozen view on
-  // first touch.
-  ContextCounts& MutableEntry(size_t order, uint64_t key);
-
-  // Paged twins.
-  size_t SlotBytes() const;
-  CountsRef LookupFrozenPaged(uint64_t key) const;
-  CountsRef LookupPaged(uint64_t key) const;
-  void ObservePaged(uint64_t key, token::TokenId id);
-  void CompactPagedBase();
+  // Adds one occurrence of `w` after the context `key`.
+  void Count(uint64_t key, size_t w);
 
   size_t vocab_size_;
   NGramOptions options_;
-  std::shared_ptr<BlockPool> pool_;
-  bool paged_ = false;
   size_t observed_ = 0;
   // Most recent max_order tokens (the sliding conditioning window).
   std::deque<token::TokenId> recent_;
-  // Frozen base layers, bottom to top; shared read-only with every fork.
-  std::vector<std::shared_ptr<const Layer>> base_;
-  // This session's private overlay.
-  Layer local_;
-  // Paged-mode twins of base_ / local_.
-  std::vector<PagedLayer> paged_base_;
-  std::unique_ptr<PagedContextStore> paged_local_;
-  Table overflow_local_;
-  bool frozen_ = false;
+  LayeredContextStore<Slot> store_;
 };
 
 }  // namespace lm

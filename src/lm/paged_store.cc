@@ -9,7 +9,6 @@ namespace multicast {
 namespace lm {
 namespace {
 
-constexpr size_t kMinBlockSpan = 4;
 constexpr size_t kMinIndexCells = 16;
 
 size_t RoundUp8(size_t n) { return (n + 7) & ~static_cast<size_t>(7); }
@@ -20,6 +19,9 @@ size_t RoundUp8(size_t n) { return (n + 7) & ~static_cast<size_t>(7); }
 // BlockPool
 
 BlockPool::BlockPool(const PagedMemoryOptions& options) : options_(options) {
+  // The span sizes every block in one allocation, so it is bounded.
+  MC_CHECK(options.block_span >= kMinBlockSpan &&
+           options.block_span <= kMaxBlockSpan);
   shared_ = std::make_shared<Shared>();
   shared_->max_blocks = options.max_blocks;
 }
@@ -142,7 +144,7 @@ PagedContextStore::PagedContextStore(std::shared_ptr<BlockPool> pool,
                                      size_t slot_bytes)
     : pool_(std::move(pool)), slot_bytes_(RoundUp8(slot_bytes)) {
   MC_CHECK(pool_ != nullptr);
-  span_ = std::max(kMinBlockSpan, pool_->options().block_span);
+  span_ = pool_->options().block_span;
   // Keys first, payload area after — 8 * span keeps the payload area
   // (and with slot_bytes_ a multiple of 8, every slot) 8-aligned for
   // the mixture model's leading double.

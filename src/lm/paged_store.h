@@ -1,44 +1,44 @@
-// Paged session memory: block-allocated, refcounted context storage.
+// Paged session memory: the one context store behind both LM families.
 //
-// Every decode session today layers a private copy-on-write overlay map
-// over shared frozen base layers (language_model.h Freeze()/Fork()).
-// The *sharing* was already right — frozen layers are shared_ptrs — but
-// the *representation* was not: each context entry lived in its own
-// unordered_map node plus a separately heap-allocated count vector,
-// ~3x the bytes the counts themselves need, and compaction of long
-// fork chains deep-copied every surviving entry. At thousands of
-// concurrent draws (the M4-style many-series regime) overlay memory
-// dominates long before the scheduler saturates.
+// Every decode session layers a private copy-on-write overlay over
+// shared frozen base layers (language_model.h Freeze()/Fork()). Context
+// state lives in fixed-span, refcounted blocks rather than per-entry map
+// nodes, so concurrent draws share frozen prompt state at block
+// granularity and a session's private bytes stay a fraction of what a
+// map node plus a heap count vector per entry would cost.
 //
-// This file is the paged-KV analogue for the simulated back-ends:
+//   BlockPool             — the process-wide (or per-replica) authority
+//                           for fixed-size storage blocks: refcounted
+//                           handles, a freelist that recycles returned
+//                           buffers, a live/peak high-water gauge, an
+//                           optional block cap whose refusal is an
+//                           *exhaustion event* (the overload ladder
+//                           sheds on the pool's fullness), and
+//                           per-session byte accounting.
 //
-//   BlockPool         — the process-wide (or per-replica) authority for
-//                       fixed-size storage blocks: refcounted handles,
-//                       a freelist that recycles returned buffers, a
-//                       live/peak high-water gauge, an optional block
-//                       cap whose refusal is an *exhaustion event* (the
-//                       overload ladder sheds on the pool's fullness),
-//                       and per-session byte accounting that works in
-//                       paged AND plain mode so benches can compare
-//                       bytes/session on one measurement path.
+//   PagedContextStore     — one layer's context table: 64-bit context
+//                           keys mapped to fixed-size payload slots
+//                           packed into pool blocks, with a flat
+//                           open-addressed index (4 bytes per cell).
+//                           MergeCompact() collapses a layer chain by
+//                           *adopting* blocks whose slots survive mostly
+//                           unshadowed (refcount bump, zero copy) and
+//                           copying only conflicted slots.
 //
-//   PagedContextStore — one layer's context table: 64-bit context keys
-//                       mapped to fixed-size payload slots packed into
-//                       pool blocks, with a flat open-addressed index
-//                       (4 bytes per cell) instead of per-entry map
-//                       nodes. Frozen stores are immutable and shared
-//                       by refcount; MergeCompact() collapses a layer
-//                       chain by *adopting* blocks whose slots survive
-//                       mostly unshadowed (refcount bump, zero copy)
-//                       and copying only conflicted slots — copy-on-
-//                       write at block granularity.
+//   LayeredContextStore   — the layer chain a model session reads and
+//                           writes: frozen layers shared by refcount,
+//                           one private overlay, and per layer a "wide"
+//                           overflow map for entries that outgrow the
+//                           slot's u16 counts or that the pool had no
+//                           block for. The models supply only their slot
+//                           layout and their arithmetic.
 //
 // Who copies what (the COW contract, mirrored in DESIGN.md §5k):
 //   * A fork shares every frozen block by refcount. Writing a context
 //     key copies that key's slot (never the block, never the layer)
-//     into the fork's private overlay store — byte-for-byte the same
-//     integers a monolithic model would hold, so all downstream float
-//     math is bit-identical.
+//     into the fork's private overlay — byte-for-byte the same integers
+//     a monolithic model would hold, so all downstream float math is
+//     bit-identical (tests/reference_models.h is the oracle).
 //   * Freeze() moves the overlay's blocks into a frozen layer without
 //     copying; compaction adopts or copies per block (see above).
 //   * Blocks return to the pool freelist only when the last layer
@@ -46,39 +46,44 @@
 //     still share its layers frees nothing until those forks finish.
 //
 // Exhaustion is graceful by construction: a store whose pool refuses a
-// new block reports the failed insert to its caller, and the models
-// spill that entry to a plain map instead — decode never fails mid-
-// token and output stays bit-identical; the pool counts the event and
-// its fullness feeds the serving layer's admission ladder, which sheds
-// *before* dispatch (serve/overload.h).
+// new block spills that entry to the overflow map instead — decode never
+// fails mid-token and output stays bit-identical; the pool counts the
+// event and its fullness feeds the serving layer's admission ladder,
+// which sheds *before* dispatch (serve/overload.h).
 
 #ifndef MULTICAST_LM_PAGED_STORE_H_
 #define MULTICAST_LM_PAGED_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "lm/language_model.h"
 #include "util/metrics.h"
+#include "util/status.h"
 
 namespace multicast {
 namespace lm {
 
-/// Paged-memory configuration, carried by lm::ModelProfile into every
-/// decode-model construction site.
+/// Accepted range of PagedMemoryOptions::block_span.
+inline constexpr size_t kMinBlockSpan = 4;
+inline constexpr size_t kMaxBlockSpan = 4096;
+
+/// Pool geometry, carried by lm::ModelProfile into every decode-model
+/// construction site.
 struct PagedMemoryOptions {
-  /// false: models keep their plain unordered_map layers (an attached
-  /// pool then only collects session byte accounting, giving paged and
-  /// plain runs one measurement path). true: layers live in paged
-  /// stores drawn from the pool.
+  /// Ignored: every model stores its layers in the pool. Kept so
+  /// existing callers that set it still compile.
   bool enabled = false;
-  /// Payload slots per block. Larger spans amortize allocation but
-  /// coarsen the freelist granularity. Must be >= 4.
+  /// Payload slots per block, in [kMinBlockSpan, kMaxBlockSpan]. Larger
+  /// spans amortize allocation but coarsen the freelist granularity.
   size_t block_span = 32;
   /// Pool-wide cap on live blocks; 0 = unbounded. Allocation beyond the
   /// cap fails (an exhaustion event) and callers degrade gracefully.
@@ -128,7 +133,7 @@ struct BlockPoolStats {
   /// Logical bytes sessions conditioned on (each counting its full
   /// frozen base) over the peak physical bytes the pool ever held: how
   /// many times over the refcounted blocks were shared. 0 when the pool
-  /// never held a block (plain-mode accounting pools).
+  /// never held a block.
   double sharing_ratio() const {
     return bytes_peak == 0
                ? 0.0
@@ -150,24 +155,22 @@ BlockPoolStats BlockPoolStatsFromSnapshot(
 /// See file comment. Thread-safe: one mutex guards the freelist and
 /// counters; block payload access is the caller's concern (immutable
 /// once frozen, private while mutable — the Freeze()/Fork() contract).
+/// Construction allocates no blocks.
 class BlockPool {
  public:
-  explicit BlockPool(const PagedMemoryOptions& options);
+  /// `options.block_span` must lie in [kMinBlockSpan, kMaxBlockSpan].
+  explicit BlockPool(const PagedMemoryOptions& options = {});
 
   const PagedMemoryOptions& options() const { return options_; }
-  /// Shorthand for options().enabled — whether attached models should
-  /// build paged layers or only report accounting.
-  bool paged() const { return options_.enabled; }
 
   /// One refcounted block of >= `bytes` bytes (freelist buffers are
   /// size-matched exactly, so in practice == bytes). Null when the
   /// max_blocks cap is reached — an exhaustion event; callers must
-  /// degrade (spill to plain storage), never fail.
+  /// degrade (spill to the overflow map), never fail.
   BlockRef Allocate(size_t bytes);
 
   /// A mutable decode session ended, holding `overlay_bytes` of private
-  /// state over `base_bytes` of (shared) frozen base. Models report
-  /// this from their destructor in paged and plain mode alike.
+  /// state over `base_bytes` of (shared) frozen base.
   void NoteSessionEnd(size_t overlay_bytes, size_t base_bytes);
 
   /// Live blocks over max_blocks, in [0, 1]; 0 when unbounded. The
@@ -199,10 +202,9 @@ class BlockPool {
 
 /// malloc-model estimate of one heap chunk serving a `request`-byte
 /// allocation (glibc-style: 8-byte header, 16-byte granule, 32-byte
-/// minimum). The plain-mode layers are unordered_map + vector heaps, so
-/// their resident size is estimated with this model; paged stores are
-/// measured from their actual block and index allocations through the
-/// same function. The model is documented in DESIGN.md §5k.
+/// minimum). Paged stores are measured from their actual block and
+/// index allocations through it; overflow map entries through
+/// ApproxMapEntryBytes. The model is documented in DESIGN.md §5k.
 inline size_t ApproxChunkBytes(size_t request) {
   const size_t chunk = (request + 8 + 15) & ~static_cast<size_t>(15);
   return chunk < 32 ? 32 : chunk;
@@ -218,13 +220,46 @@ inline size_t ApproxMapEntryBytes(size_t node_bytes,
   return total;
 }
 
+// Slot field access. Scalars go through memcpy (aliasing-safe); a u16
+// count array at an even offset of an 8-aligned slot is aligned, so it
+// is read in place.
+inline uint16_t LoadU16(const std::byte* p, size_t off) {
+  uint16_t v;
+  std::memcpy(&v, p + off, sizeof(v));
+  return v;
+}
+inline uint32_t LoadU32(const std::byte* p, size_t off) {
+  uint32_t v;
+  std::memcpy(&v, p + off, sizeof(v));
+  return v;
+}
+inline double LoadF64(const std::byte* p, size_t off) {
+  double v;
+  std::memcpy(&v, p + off, sizeof(v));
+  return v;
+}
+inline void StoreU16(std::byte* p, size_t off, uint16_t v) {
+  std::memcpy(p + off, &v, sizeof(v));
+}
+inline void StoreU32(std::byte* p, size_t off, uint32_t v) {
+  std::memcpy(p + off, &v, sizeof(v));
+}
+inline void StoreF64(std::byte* p, size_t off, double v) {
+  std::memcpy(p + off, &v, sizeof(v));
+}
+inline const uint16_t* NarrowCounts(const std::byte* p, size_t off) {
+  return reinterpret_cast<const uint16_t*>(p + off);
+}
+inline uint16_t* NarrowCounts(std::byte* p, size_t off) {
+  return reinterpret_cast<uint16_t*>(p + off);
+}
+
 /// See file comment. One layer's context table: keys are the models'
 /// packed 64-bit context keys, payloads are fixed-size byte records the
 /// owning model encodes/decodes. Mutable while building an overlay;
 /// frozen by wrapping in shared_ptr<const> (no further Insert calls).
 /// Not internally synchronized: mutable stores are session-private,
-/// frozen stores are immutable — the same discipline as the layers they
-/// replace.
+/// frozen stores are immutable.
 class PagedContextStore {
  public:
   /// `slot_bytes` is the payload record size; it is rounded up to an
@@ -299,11 +334,310 @@ class PagedContextStore {
   size_t tail_used_ = 0;
   /// True while blocks_.back() is a fresh (appendable) block.
   bool tail_open_ = false;
-  /// Open-addressed index: cell = 1 + (block << 16 | slot)... packed as
-  /// 1 + block * span + slot; 0 = empty. Sized to a power of two, grown
-  /// at 70% load.
+  /// Open-addressed index: cell = 1 + block * span + slot; 0 = empty.
+  /// Sized to a power of two, grown at 70% load.
   std::vector<uint32_t> index_;
   size_t size_ = 0;
+};
+
+/// See file comment. A session's layer chain over paged stores: frozen
+/// base layers (bottom to top, shared read-only with every fork) plus
+/// this session's private overlay. An overlay entry shadows the same key
+/// in every frozen layer; it was seeded from the frozen view when first
+/// written, so it is always the complete, current state of its key.
+///
+/// `Layout` is the owning model's slot codec:
+///   using Wide = ...;        // u32 form of one entry, with a
+///                            // `std::vector<uint32_t> counts` member
+///   static constexpr size_t kFlagsOffset;  // u16 flags field in a slot
+///   size_t slot_bytes() const;
+///   Wide Widen(const std::byte* slot) const;  // null slot: zero entry
+/// Every slot holds either the narrow entry or, when its flags carry
+/// kWideFlag, a marker whose entry lives in the same layer's overflow
+/// map. Lookups are inline and dispatch on no virtual or std::function.
+/// Not internally synchronized, like the stores it layers.
+template <typename Layout>
+class LayeredContextStore {
+ public:
+  using Wide = typename Layout::Wide;
+  using WideTable = std::unordered_map<uint64_t, Wide>;
+
+  /// The effective entry for a key: a narrow slot, a wide entry, or
+  /// neither (absent).
+  struct Ref {
+    const std::byte* slot = nullptr;
+    const Wide* wide = nullptr;
+    bool found() const { return slot != nullptr || wide != nullptr; }
+  };
+
+  /// The overlay entry for a key, ready to update: exactly one of
+  /// `slot` and `wide` is set. `fresh` when no layer held the key (the
+  /// entry is zero and the caller applies any non-zero prior).
+  struct WriteRef {
+    std::byte* slot = nullptr;
+    Wide* wide = nullptr;
+    bool fresh = false;
+  };
+
+  /// Blocks come from `pool`, or from an unbounded pool of the store's
+  /// own when it is null. `max_base_layers` (>= 1) is the frozen chain
+  /// length beyond which Freeze() compacts.
+  LayeredContextStore(Layout layout, std::shared_ptr<BlockPool> pool,
+                      size_t max_base_layers)
+      : layout_(std::move(layout)),
+        pool_(pool != nullptr ? std::move(pool)
+                              : std::make_shared<BlockPool>()),
+        max_base_layers_(max_base_layers),
+        local_(NewOverlay()) {
+    MC_CHECK(max_base_layers_ >= 1);
+  }
+
+  /// A store destroyed while still mutable was a decode session; frozen
+  /// stores dying are cache entries / shared bases, not sessions.
+  ~LayeredContextStore() {
+    if (!frozen_) {
+      const MemoryFootprint fp = Footprint();
+      pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes);
+    }
+  }
+
+  LayeredContextStore(const LayeredContextStore&) = delete;
+  LayeredContextStore& operator=(const LayeredContextStore&) = delete;
+
+  const std::shared_ptr<BlockPool>& pool() const { return pool_; }
+  bool frozen() const { return frozen_; }
+  size_t num_base_layers() const { return base_.size(); }
+
+  /// Effective entry for `key`: overlay first, then frozen top-down.
+  Ref Find(uint64_t key) const {
+    const Ref ref = FindIn(local_.get(), overflow_local_, key);
+    return ref.found() ? ref : FindFrozen(key);
+  }
+
+  /// Writable overlay entry for `key`, seeded from the frozen view on
+  /// the session's first write to it. On pool exhaustion the entry
+  /// spills to the overlay's overflow map (same integers, same output).
+  WriteRef Write(uint64_t key) {
+    MC_CHECK(!frozen_);
+    if (std::byte* p = local_->FindMutable(key)) {
+      if (!IsWide(p)) return {p, nullptr, false};
+      return {nullptr, &LocalWide(key), false};
+    }
+    if (!overflow_local_.empty()) {
+      auto spilled = overflow_local_.find(key);
+      if (spilled != overflow_local_.end()) {
+        return {nullptr, &spilled->second, false};
+      }
+    }
+    const Ref under = FindFrozen(key);
+    if (under.wide != nullptr) {
+      // Frozen entry already wide: the overlay copy is wide too. The
+      // marker slot is optional (Find falls through to the map).
+      Wide& wide = overflow_local_.emplace(key, *under.wide).first->second;
+      if (std::byte* marker = local_->Insert(key)) SetWide(marker);
+      return {nullptr, &wide, false};
+    }
+    std::byte* p = local_->Insert(key);
+    if (p == nullptr) {
+      Wide& wide =
+          overflow_local_.emplace(key, layout_.Widen(under.slot)).first->second;
+      return {nullptr, &wide, under.slot == nullptr};
+    }
+    if (under.slot != nullptr) {
+      std::memcpy(p, under.slot, local_->slot_bytes());
+    }
+    return {p, nullptr, under.slot == nullptr};
+  }
+
+  /// Moves the narrow overlay entry in `slot` (returned by Write for
+  /// `key`) to the overflow map, for a count about to outgrow u16.
+  Wide& Promote(uint64_t key, std::byte* slot) {
+    Wide& wide = overflow_local_[key] = layout_.Widen(slot);
+    SetWide(slot);
+    return wide;
+  }
+
+  /// Zero-copy transition: the overlay's blocks become a frozen layer;
+  /// chains longer than max_base_layers compact. Idempotent.
+  void Freeze() {
+    if (frozen_) return;
+    frozen_ = true;
+    if (local_->size() > 0 || !overflow_local_.empty()) {
+      base_.push_back(
+          Layer{std::shared_ptr<const PagedContextStore>(std::move(local_)),
+                std::make_shared<const WideTable>(std::move(overflow_local_))});
+      local_ = NewOverlay();
+      overflow_local_ = WideTable{};
+    }
+    if (base_.size() > max_base_layers_) CompactBase();
+  }
+
+  /// Drops every layer: the store becomes empty and mutable.
+  void Reset() {
+    base_.clear();
+    local_ = NewOverlay();
+    overflow_local_.clear();
+    frozen_ = false;
+  }
+
+  /// Makes this (empty, mutable) store a fork of `frozen`: the fork's
+  /// refcounts on the frozen layers — and, transitively, their blocks —
+  /// are the entire copy.
+  void ShareBase(const LayeredContextStore& frozen) {
+    MC_CHECK(frozen.frozen_);
+    base_ = frozen.base_;
+  }
+
+  /// Calls `fn(key, ref)` once per key of the effective (layer-merged)
+  /// view. Diagnostics only: builds a map of every key.
+  template <typename Fn>
+  void ForEachEffective(Fn fn) const {
+    std::unordered_map<uint64_t, Ref> effective;
+    auto fold = [&](const PagedContextStore* store, const WideTable& wide) {
+      if (store != nullptr) {
+        store->ForEach([&](uint64_t key, const std::byte* p) {
+          if (!IsWide(p)) effective[key] = Ref{p, nullptr};
+        });
+      }
+      for (const auto& [key, entry] : wide) effective[key] = Ref{nullptr, &entry};
+    };
+    for (const Layer& layer : base_) fold(layer.store.get(), *layer.overflow);
+    fold(local_.get(), overflow_local_);
+    for (const auto& [key, ref] : effective) fn(key, ref);
+  }
+
+  /// Private overlay bytes and (logical) frozen-base bytes.
+  MemoryFootprint Footprint() const {
+    MemoryFootprint fp;
+    fp.overlay_bytes = local_->MemoryBytes() + WideBytes(overflow_local_);
+    for (const Layer& layer : base_) fp.base_bytes += LayerBytes(layer);
+    return fp;
+  }
+
+  /// Adds the overlay, and each frozen layer not yet in `tally`.
+  void Tally(MemoryTally* tally) const {
+    tally->bytes += local_->MemoryBytes() + WideBytes(overflow_local_);
+    for (const Layer& layer : base_) {
+      const void* identity =
+          layer.store != nullptr
+              ? static_cast<const void*>(layer.store.get())
+              : static_cast<const void*>(layer.overflow.get());
+      if (tally->seen.insert(identity).second) {
+        tally->bytes += LayerBytes(layer);
+      }
+    }
+  }
+
+ private:
+  static constexpr uint16_t kWideFlag = 1;
+
+  // One frozen level: the paged store (null in an overflow-only layer,
+  // the compaction fallback) plus its overflow map.
+  struct Layer {
+    std::shared_ptr<const PagedContextStore> store;
+    std::shared_ptr<const WideTable> overflow;
+  };
+
+  static bool IsWide(const std::byte* slot) {
+    return (LoadU16(slot, Layout::kFlagsOffset) & kWideFlag) != 0;
+  }
+  static void SetWide(std::byte* slot) {
+    StoreU16(slot, Layout::kFlagsOffset, kWideFlag);
+  }
+
+  static Ref FindIn(const PagedContextStore* store, const WideTable& wide,
+                    uint64_t key) {
+    if (store != nullptr) {
+      if (const std::byte* p = store->Find(key)) {
+        if (!IsWide(p)) return Ref{p, nullptr};
+        auto found = wide.find(key);
+        MC_CHECK(found != wide.end());
+        return Ref{nullptr, &found->second};
+      }
+    }
+    if (!wide.empty()) {
+      auto found = wide.find(key);
+      if (found != wide.end()) return Ref{nullptr, &found->second};
+    }
+    return Ref{};
+  }
+
+  Ref FindFrozen(uint64_t key) const {
+    for (auto it = base_.rbegin(); it != base_.rend(); ++it) {
+      const Ref ref = FindIn(it->store.get(), *it->overflow, key);
+      if (ref.found()) return ref;
+    }
+    return Ref{};
+  }
+
+  Wide& LocalWide(uint64_t key) {
+    auto found = overflow_local_.find(key);
+    MC_CHECK(found != overflow_local_.end());
+    return found->second;
+  }
+
+  std::unique_ptr<PagedContextStore> NewOverlay() const {
+    return std::make_unique<PagedContextStore>(pool_, layout_.slot_bytes());
+  }
+
+  // Compacts the frozen chain. With no overflow entries in play, the
+  // store-level MergeCompact adopts mostly-live blocks by refcount and
+  // copies only the rest. With overflow entries (u16-saturated counts
+  // or pool-exhaustion spills — both rare by construction) the chain
+  // collapses into one overflow-only layer; correct, just not paged.
+  // Forks taken earlier keep their own refcounts on the old layers.
+  void CompactBase() {
+    bool any_overflow = false;
+    for (const Layer& layer : base_) {
+      any_overflow |= layer.store == nullptr || !layer.overflow->empty();
+    }
+    if (!any_overflow) {
+      std::vector<std::shared_ptr<const PagedContextStore>> stores;
+      stores.reserve(base_.size());
+      for (const Layer& layer : base_) stores.push_back(layer.store);
+      auto merged = PagedContextStore::MergeCompact(stores, pool_);
+      if (merged == nullptr) return;  // pool exhausted: keep the chain
+      base_.assign(1, Layer{std::move(merged),
+                            std::make_shared<const WideTable>()});
+      return;
+    }
+    auto merged = std::make_shared<WideTable>();
+    for (const Layer& layer : base_) {
+      if (layer.store != nullptr) {
+        layer.store->ForEach([&](uint64_t key, const std::byte* p) {
+          if (!IsWide(p)) (*merged)[key] = layout_.Widen(p);
+        });
+      }
+      for (const auto& [key, entry] : *layer.overflow) (*merged)[key] = entry;
+    }
+    base_.assign(1, Layer{nullptr, std::move(merged)});
+  }
+
+  // Malloc model (see ApproxMapEntryBytes) of an overflow map.
+  static size_t WideBytes(const WideTable& table) {
+    size_t bytes = 0;
+    for (const auto& [key, entry] : table) {
+      (void)key;
+      bytes += ApproxMapEntryBytes(
+          sizeof(void*) + sizeof(std::pair<const uint64_t, Wide>),
+          entry.counts.capacity() * sizeof(uint32_t));
+    }
+    return bytes;
+  }
+
+  static size_t LayerBytes(const Layer& layer) {
+    size_t bytes = WideBytes(*layer.overflow);
+    if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
+    return bytes;
+  }
+
+  Layout layout_;
+  std::shared_ptr<BlockPool> pool_;
+  size_t max_base_layers_;
+  std::vector<Layer> base_;
+  std::unique_ptr<PagedContextStore> local_;
+  WideTable overflow_local_;
+  bool frozen_ = false;
 };
 
 }  // namespace lm

@@ -36,11 +36,11 @@ struct ModelProfile {
   MixtureOptions mixture;   // used when backend == kMixture
   SamplerOptions sampler;
 
-  /// Optional paged-memory pool handed to every model this profile
-  /// constructs (see lm/paged_store.h): session byte accounting always,
-  /// paged layer storage when the pool is enabled. Storage-only — model
-  /// output is bit-identical with or without it, so it is excluded from
-  /// ModelFingerprint (like the sampler).
+  /// Optional session-memory pool handed to every model this profile
+  /// constructs (see lm/paged_store.h): the models' block source and
+  /// byte-accounting sink. Null: each fresh model creates its own.
+  /// Storage-only — model output is bit-identical whichever pool backs
+  /// it, so it is excluded from ModelFingerprint (like the sampler).
   std::shared_ptr<BlockPool> memory_pool;
 
   /// Stand-in for LLaMA2-7B: long context order, sharp backoff, low

@@ -143,6 +143,75 @@ TEST_F(CliTest, ForecastRejectsBadFlags) {
                    .ok());
 }
 
+// Every block is one (8 + slot) x span allocation, so --block-span is
+// bounded on both sides rather than clamped or trusted.
+TEST_F(CliTest, BlockSpanIsBounded) {
+  auto forecast = [&](const char* span, std::string* out) {
+    return Run({"forecast", "--input", path_, "--horizon", "2", "--method",
+                "VI", "--samples", "1", "--block-span", span},
+               out);
+  };
+  std::string out;
+  for (const char* bad : {"3", "4097"}) {
+    auto code = forecast(bad, &out);
+    ASSERT_FALSE(code.ok()) << bad;
+    EXPECT_EQ(code.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(code.status().message().find("--block-span"),
+              std::string::npos);
+  }
+  for (const char* good : {"4", "4096"}) {
+    auto code = forecast(good, &out);
+    ASSERT_TRUE(code.ok()) << good << ": " << code.status().ToString();
+    EXPECT_EQ(code.value(), 0);
+  }
+}
+
+// The pool flags need no switch: a forecast whose pool is capped at 8
+// blocks spills to overflow maps and prints the uncapped forecast. The
+// removed --paged-memory switch is an unknown flag.
+TEST_F(CliTest, PoolFlagsApplyWithoutASwitch) {
+  auto forecast_csv = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = {"forecast", "--input", path_,
+                                     "--horizon", "4", "--method", "VI",
+                                     "--samples", "3"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::string out;
+    auto code = Run(args, &out);
+    EXPECT_TRUE(code.ok()) << code.status().ToString();
+    // Everything after the timing line: the resilience line and the CSV.
+    return out.substr(out.find('\n'));
+  };
+  const std::string uncapped = forecast_csv({});
+  EXPECT_NE(uncapped.find("GasRate,CO2"), std::string::npos);
+  EXPECT_EQ(forecast_csv({"--pool-blocks", "8"}), uncapped);
+  EXPECT_EQ(forecast_csv({"--block-span", "8", "--pool-blocks", "8"}),
+            uncapped);
+
+  std::string out;
+  auto code = Run({"forecast", "--input", path_, "--paged-memory"}, &out);
+  ASSERT_FALSE(code.ok());
+  EXPECT_EQ(code.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CliTest, ServeSimAlwaysReportsSessionMemory) {
+  const std::string metrics_path = testing::TempDir() + "/mc_cli_mem_" +
+                                   std::to_string(getpid()) + ".json";
+  std::string out;
+  auto code = Run({"serve-sim", "--input", path_, "--horizon", "4",
+                   "--method", "VI", "--samples", "2", "--requests", "3",
+                   "--pool-blocks", "64", "--metrics-json", metrics_path},
+                  &out);
+  ASSERT_TRUE(code.ok()) << code.status().ToString();
+  EXPECT_NE(out.find("paged-mem VI: "), std::string::npos) << out;
+  EXPECT_EQ(out.find("paged-mem VI: off"), std::string::npos);
+  std::ifstream metrics(metrics_path);
+  std::stringstream json;
+  json << metrics.rdbuf();
+  EXPECT_NE(json.str().find("lm.mem.blocks_peak"), std::string::npos);
+  EXPECT_NE(json.str().find("lm.mem.pool_fullness"), std::string::npos);
+  std::remove(metrics_path.c_str());
+}
+
 TEST_F(CliTest, GenerateWritesDataset) {
   std::string out_path = testing::TempDir() + "/mc_cli_gen_" +
                          std::to_string(getpid()) + ".csv";

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "metrics/metrics.h"
+#include "reference_models.h"
+#include "token/vocabulary.h"
 #include "ts/split.h"
 
 namespace multicast {
@@ -103,21 +105,36 @@ TEST_P(MuxVariantTest, DeterministicForSameSeed) {
 }
 
 TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
-  // The paged block store must never change an output: same forecast,
-  // same bands, same ledger, at serial and parallel thread counts.
-  MultiCastOptions plain;
-  plain.mux = GetParam();
-  plain.num_samples = 4;
-  plain.seed = 7;
-  plain.quantiles = {0.1, 0.9};
+  // The paged block store must never change an output: the same
+  // forecast, bands and ledger as the monolithic map-based reference
+  // model decoding behind an external backend, at serial and parallel
+  // thread counts, with draws forked off a cached frozen prompt, and
+  // with a pool capped so hard that most entries spill to overflow maps.
+  MultiCastOptions base;
+  base.mux = GetParam();
+  base.num_samples = 4;
+  base.seed = 7;
+  base.quantiles = {0.1, 0.9};
   ts::Frame frame = PeriodicFrame(72);
-  auto baseline = MultiCastForecaster(plain).Forecast(frame, 8);
-  ASSERT_TRUE(baseline.ok());
-  for (int threads : {1, 2}) {
-    MultiCastOptions paged = plain;
-    paged.paged_memory = true;
+  lm::ReferenceLlm reference(base.profile,
+                             token::Vocabulary::Digits().size());
+  MultiCastOptions oracle = base;
+  oracle.backend = &reference;
+  auto baseline = MultiCastForecaster(oracle).Forecast(frame, 8);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  struct Config {
+    int threads;
+    bool cache;
+    size_t pool_blocks;
+  };
+  for (const Config& c : {Config{1, false, 0}, Config{2, false, 0},
+                          Config{1, true, 0}, Config{2, true, 0},
+                          Config{1, false, 8}, Config{2, true, 8}}) {
+    MultiCastOptions paged = base;
+    paged.threads = c.threads;
+    paged.prefix_cache = c.cache;
     paged.block_span = 16;
-    paged.threads = threads;
+    paged.pool_blocks = c.pool_blocks;
     MultiCastForecaster f(paged);
     ASSERT_NE(f.block_pool(), nullptr);
     auto result = f.Forecast(frame, 8);
@@ -132,11 +149,12 @@ TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
                   result.value().quantile_bands[q].second.dim(d).values());
       }
     }
-    EXPECT_EQ(baseline.value().ledger.total(),
-              result.value().ledger.total());
+    EXPECT_EQ(baseline.value().ledger.total(), result.value().ledger.total());
     // The pipeline really exercised the pool.
-    EXPECT_GT(f.block_pool()->stats().blocks_peak, 0u);
-    EXPECT_GT(f.block_pool()->stats().sessions, 0u);
+    const lm::BlockPoolStats stats = f.block_pool()->stats();
+    EXPECT_GT(stats.blocks_peak, 0u);
+    EXPECT_GT(stats.sessions, 0u);
+    EXPECT_EQ(stats.exhaustion_events > 0, c.pool_blocks > 0);
   }
 }
 

@@ -9,16 +9,15 @@
 #include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/prefix_cache.h"
+#include "reference_models.h"
 #include "util/metrics.h"
 
 namespace multicast {
 namespace lm {
 namespace {
 
-std::shared_ptr<BlockPool> MakePool(size_t block_span, size_t max_blocks,
-                                    bool enabled = true) {
+std::shared_ptr<BlockPool> MakePool(size_t block_span, size_t max_blocks) {
   PagedMemoryOptions options;
-  options.enabled = enabled;
   options.block_span = block_span;
   options.max_blocks = max_blocks;
   return std::make_shared<BlockPool>(options);
@@ -244,130 +243,148 @@ TEST(PagedContextStoreTest, MergeCompactNewestWinsAndCopiesShadowed) {
   }
 }
 
-// The tentpole invariant: a paged model holds byte-for-byte the same
-// integers a plain model holds, so every distribution is bit-identical
-// — across observation, freeze/fork chains and base-layer compaction.
+// The store's invariant: a paged model holds byte-for-byte the integers
+// a monolithic map-based model holds, so every distribution is
+// bit-identical to the reference oracle (reference_models.h) — across
+// observation, freeze/fork chains, base-layer compaction, pool
+// exhaustion and u16 count promotion.
+
+// Feeds `stream` to `model` and `reference` in `rounds` equal rounds,
+// freezing and forking `model` after each, and checks bit-identity every
+// `check_every` tokens and at each round's end. Returns the last fork.
+template <typename Model>
+std::unique_ptr<Model> ForkChainAgainstReference(
+    std::unique_ptr<Model> model, LanguageModel* reference,
+    const std::vector<token::TokenId>& stream, int rounds,
+    size_t check_every) {
+  const size_t per_round = stream.size() / static_cast<size_t>(rounds);
+  size_t at = 0;
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t i = 0; i < per_round; ++i, ++at) {
+      model->Observe(stream[at]);
+      reference->Observe(stream[at]);
+      if (i % check_every == 0) ExpectSameDistribution(*reference, *model);
+    }
+    ExpectSameDistribution(*reference, *model);
+    model->Freeze();
+    model.reset(static_cast<Model*>(model->Fork().release()));
+  }
+  ExpectSameDistribution(*reference, *model);
+  return model;
+}
+
 TEST(PagedModelIdentityTest, NGramMatchesPlainThroughForkChains) {
   const size_t vocab = 13;
-  NGramOptions plain_opts;
-  plain_opts.max_base_layers = 8;  // plain chain left uncompacted longer
-  NGramOptions paged_opts;
-  paged_opts.max_base_layers = 2;  // paged chain compacts aggressively
-  auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
-
-  auto plain = std::make_unique<NGramLanguageModel>(vocab, plain_opts);
-  auto paged =
-      std::make_unique<NGramLanguageModel>(vocab, paged_opts, pool);
-  EXPECT_FALSE(plain->paged());
-  EXPECT_TRUE(paged->paged());
-
   const std::vector<token::TokenId> stream = TokenStream(2400, vocab, 7);
-  size_t at = 0;
-  for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 400; ++i, ++at) {
-      plain->Observe(stream[at]);
-      paged->Observe(stream[at]);
-      if (i % 97 == 0) ExpectSameDistribution(*plain, *paged);
+  for (size_t max_layers : {size_t{2}, size_t{8}}) {
+    NGramOptions opts;
+    opts.max_base_layers = max_layers;
+    auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
+    ReferenceNGram reference(vocab, opts);
+    auto model = ForkChainAgainstReference(
+        std::make_unique<NGramLanguageModel>(vocab, opts, pool), &reference,
+        stream, /*rounds=*/6, /*check_every=*/97);
+    EXPECT_EQ(model->num_entries(), reference.num_entries());
+    // Six frozen rounds: the tight chain compacted, the loose one not.
+    if (max_layers == 2) {
+      EXPECT_LE(model->num_base_layers(), 2u);
+    } else {
+      EXPECT_EQ(model->num_base_layers(), 6u);
     }
-    ExpectSameDistribution(*plain, *paged);
-    EXPECT_EQ(plain->num_entries(), paged->num_entries());
-    plain->Freeze();
-    paged->Freeze();
-    auto plain_fork = plain->Fork();
-    auto paged_fork = paged->Fork();
-    plain.reset(
-        static_cast<NGramLanguageModel*>(plain_fork.release()));
-    paged.reset(
-        static_cast<NGramLanguageModel*>(paged_fork.release()));
   }
-  // Aggressive compaction really ran: the paged chain stays clamped.
-  EXPECT_LE(paged->num_base_layers(), 2u);
-  EXPECT_GT(plain->num_base_layers(), 2u);
-  ExpectSameDistribution(*plain, *paged);
 }
 
 TEST(PagedModelIdentityTest, NGramMatchesPlainUnderPoolExhaustion) {
   const size_t vocab = 11;
-  // A pool too small for the model: most entries take the spill path.
-  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/2);
-  NGramLanguageModel plain(vocab, NGramOptions{});
-  NGramLanguageModel paged(vocab, NGramOptions{}, pool);
-  const std::vector<token::TokenId> stream = TokenStream(1500, vocab, 21);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    plain.Observe(stream[i]);
-    paged.Observe(stream[i]);
-    if (i % 131 == 0) ExpectSameDistribution(plain, paged);
-  }
-  ExpectSameDistribution(plain, paged);
-  // Exhaustion happened and degraded gracefully (spill, not failure).
+  // An 8-block pool far too small for the model: most entries take the
+  // spill path, and the fork chain past max_base_layers compacts layers
+  // that hold spilled entries (the overflow-only fallback).
+  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/8);
+  NGramOptions opts;
+  opts.max_base_layers = 2;
+  ReferenceNGram reference(vocab, opts);
+  auto model = ForkChainAgainstReference(
+      std::make_unique<NGramLanguageModel>(vocab, opts, pool), &reference,
+      TokenStream(1500, vocab, 21), /*rounds=*/5, /*check_every=*/131);
   EXPECT_GT(pool->stats().exhaustion_events, 0u);
-  EXPECT_EQ(plain.num_entries(), paged.num_entries());
+  EXPECT_LE(model->num_base_layers(), 2u);
+  EXPECT_EQ(model->num_entries(), reference.num_entries());
 }
 
 TEST(PagedModelIdentityTest, NGramWideCountPromotionStaysIdentical) {
   const size_t vocab = 3;
   auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
-  NGramLanguageModel plain(vocab, NGramOptions{});
-  NGramLanguageModel paged(vocab, NGramOptions{}, pool);
+  NGramOptions opts;
+  opts.max_base_layers = 1;
+  ReferenceNGram reference(vocab, opts);
   // One context observed past the u16 ceiling forces the narrow slot to
-  // promote to a wide overflow entry mid-stream.
-  for (int i = 0; i < 70000; ++i) {
-    plain.Observe(0);
-    paged.Observe(0);
+  // promote to a wide overflow entry mid-stream; the forks then seed
+  // their overlays from a frozen wide entry and compact it.
+  std::vector<token::TokenId> stream(70000, 0);
+  stream.push_back(1);
+  stream.push_back(0);
+  auto model = ForkChainAgainstReference(
+      std::make_unique<NGramLanguageModel>(vocab, opts, pool), &reference,
+      stream, /*rounds=*/3, /*check_every=*/20000);
+  for (token::TokenId id : {0, 1, 2, 0}) {
+    model->Observe(id);
+    reference.Observe(id);
+    ExpectSameDistribution(reference, *model);
   }
-  ExpectSameDistribution(plain, paged);
-  plain.Observe(1);
-  paged.Observe(1);
-  ExpectSameDistribution(plain, paged);
+  EXPECT_EQ(model->num_entries(), reference.num_entries());
 }
 
 TEST(PagedModelIdentityTest, MixtureMatchesPlainThroughForkChains) {
   const size_t vocab = 9;
-  MixtureOptions plain_opts;
-  plain_opts.max_base_layers = 8;
-  MixtureOptions paged_opts;
-  paged_opts.max_base_layers = 2;
-  auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
-
-  auto plain = std::make_unique<MixtureLanguageModel>(vocab, plain_opts);
-  auto paged =
-      std::make_unique<MixtureLanguageModel>(vocab, paged_opts, pool);
   const std::vector<token::TokenId> stream = TokenStream(1800, vocab, 3);
-  size_t at = 0;
-  for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 300; ++i, ++at) {
-      plain->Observe(stream[at]);
-      paged->Observe(stream[at]);
-      if (i % 89 == 0) ExpectSameDistribution(*plain, *paged);
+  for (size_t max_layers : {size_t{2}, size_t{8}}) {
+    MixtureOptions opts;
+    opts.max_base_layers = max_layers;
+    auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
+    ReferenceMixture reference(vocab, opts);
+    auto model = ForkChainAgainstReference(
+        std::make_unique<MixtureLanguageModel>(vocab, opts, pool),
+        &reference, stream, /*rounds=*/6, /*check_every=*/89);
+    EXPECT_EQ(model->num_nodes(), reference.num_nodes());
+    if (max_layers == 2) {
+      EXPECT_LE(model->num_base_layers(), 2u);
+    } else {
+      EXPECT_EQ(model->num_base_layers(), 6u);
     }
-    ExpectSameDistribution(*plain, *paged);
-    EXPECT_EQ(plain->num_nodes(), paged->num_nodes());
-    plain->Freeze();
-    paged->Freeze();
-    auto plain_fork = plain->Fork();
-    auto paged_fork = paged->Fork();
-    plain.reset(
-        static_cast<MixtureLanguageModel*>(plain_fork.release()));
-    paged.reset(
-        static_cast<MixtureLanguageModel*>(paged_fork.release()));
   }
-  EXPECT_LE(paged->num_base_layers(), 2u);
-  ExpectSameDistribution(*plain, *paged);
 }
 
 TEST(PagedModelIdentityTest, MixtureMatchesPlainUnderPoolExhaustion) {
   const size_t vocab = 7;
-  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/2);
-  MixtureLanguageModel plain(vocab, MixtureOptions{});
-  MixtureLanguageModel paged(vocab, MixtureOptions{}, pool);
-  const std::vector<token::TokenId> stream = TokenStream(1200, vocab, 17);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    plain.Observe(stream[i]);
-    paged.Observe(stream[i]);
-    if (i % 113 == 0) ExpectSameDistribution(plain, paged);
-  }
-  ExpectSameDistribution(plain, paged);
+  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/8);
+  MixtureOptions opts;
+  opts.max_base_layers = 2;
+  ReferenceMixture reference(vocab, opts);
+  auto model = ForkChainAgainstReference(
+      std::make_unique<MixtureLanguageModel>(vocab, opts, pool), &reference,
+      TokenStream(1200, vocab, 17), /*rounds=*/4, /*check_every=*/113);
   EXPECT_GT(pool->stats().exhaustion_events, 0u);
+  EXPECT_EQ(model->num_nodes(), reference.num_nodes());
+}
+
+TEST(PagedModelIdentityTest, MixtureWideCountPromotionStaysIdentical) {
+  const size_t vocab = 3;
+  auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
+  MixtureOptions opts;
+  opts.max_base_layers = 1;
+  ReferenceMixture reference(vocab, opts);
+  std::vector<token::TokenId> stream(70000, 2);
+  stream.push_back(0);
+  stream.push_back(2);
+  auto model = ForkChainAgainstReference(
+      std::make_unique<MixtureLanguageModel>(vocab, opts, pool), &reference,
+      stream, /*rounds=*/3, /*check_every=*/20000);
+  for (token::TokenId id : {2, 1, 2, 0}) {
+    model->Observe(id);
+    reference.Observe(id);
+    ExpectSameDistribution(reference, *model);
+  }
+  EXPECT_EQ(model->num_nodes(), reference.num_nodes());
 }
 
 TEST(PagedModelIdentityTest, SessionEndFeedsPoolAccounting) {
@@ -381,19 +398,14 @@ TEST(PagedModelIdentityTest, SessionEndFeedsPoolAccounting) {
   BlockPoolStats stats = pool->stats();
   EXPECT_EQ(stats.sessions, 1u);
   EXPECT_GT(stats.session_overlay_bytes, 0u);
-
-  // Accounting-only pools (enabled = false) measure plain-mode models
-  // on the same path, giving benches one measurement source.
-  auto accounting = MakePool(/*block_span=*/16, /*max_blocks=*/0,
-                             /*enabled=*/false);
+  EXPECT_EQ(stats.blocks_live, 0u);  // every block went home
+  // Frozen models are cache entries, not sessions.
   {
-    NGramLanguageModel model(5, NGramOptions{}, accounting);
-    EXPECT_FALSE(model.paged());
-    model.ObserveAll(TokenStream(200, 5, 9));
+    NGramLanguageModel model(5, NGramOptions{}, pool);
+    model.ObserveAll(TokenStream(50, 5, 9));
+    model.Freeze();
   }
-  EXPECT_EQ(accounting->stats().sessions, 1u);
-  EXPECT_GT(accounting->stats().session_overlay_bytes, 0u);
-  EXPECT_EQ(accounting->stats().blocks_live, 0u);  // no paged storage
+  EXPECT_EQ(pool->stats().sessions, 1u);
 }
 
 // Satellite: evicting a cached prefix while live forks still hold its
@@ -428,8 +440,8 @@ TEST(PagedEvictionLivenessTest, EvictedPrefixBlocksSurviveLiveForks) {
   // the eviction itself, and the forks still read the exact state a
   // fresh model fed prompt1 would hold.
   EXPECT_EQ(pool->stats().blocks_free, free_before_evict);
-  NGramLanguageModel reference(vocab, NGramOptions{});
-  reference.ObserveAll(prompt1);
+  ReferenceNGram reference(vocab, NGramOptions{});
+  for (token::TokenId id : prompt1) reference.Observe(id);
   for (const auto& fork : forks) ExpectSameDistribution(reference, *fork);
 
   // Forks die one by one; only the LAST release returns the frozen
@@ -469,18 +481,18 @@ TEST(PrefixCacheBytesTest, BytesGaugeTracksResidentState) {
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
-// Paged layers should be denser than the plain map representation for
-// the same logical state (that is the point of the subsystem).
+// Paged layers should be denser than a map of per-entry nodes for the
+// same logical state (that is the point of the store).
 TEST(PagedModelIdentityTest, PagedFootprintBeatsPlainMaps) {
   const size_t vocab = 13;
   auto pool = MakePool(/*block_span=*/32, /*max_blocks=*/0);
-  NGramLanguageModel plain(vocab, NGramOptions{});
+  ReferenceNGram plain(vocab, NGramOptions{});
   NGramLanguageModel paged(vocab, NGramOptions{}, pool);
   const std::vector<token::TokenId> stream = TokenStream(3000, vocab, 31);
-  plain.ObserveAll(stream);
+  for (token::TokenId id : stream) plain.Observe(id);
   paged.ObserveAll(stream);
   ExpectSameDistribution(plain, paged);
-  const size_t plain_bytes = plain.ApproxMemoryBytes().total();
+  const size_t plain_bytes = plain.MapBytes();
   const size_t paged_bytes = paged.ApproxMemoryBytes().total();
   EXPECT_GT(plain_bytes, 0u);
   EXPECT_GT(paged_bytes, 0u);
