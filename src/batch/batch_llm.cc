@@ -45,6 +45,7 @@ Result<lm::GenerationResult> BatchLlm::Complete(
     for (token::TokenId id : prompt) session->Observe(id);
   }
 
+  session->ExpectTokens(num_tokens);
   DecodeJobSpec spec;
   spec.session = std::move(session);
   spec.num_tokens = num_tokens;

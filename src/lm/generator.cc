@@ -101,6 +101,7 @@ Result<GenerationResult> SimulatedLlm::Complete(
   MC_ASSIGN_OR_RETURN(std::vector<GrammarMask::Shared> cycle,
                       HoistGrammarCycle(mask, num_tokens, vocab_size_));
 
+  model->ExpectTokens(num_tokens);
   std::vector<double> probs;
   for (size_t step = 0; step < num_tokens; ++step) {
     const GrammarMask::Shared& allowed = cycle[step % cycle.size()];

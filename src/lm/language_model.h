@@ -60,7 +60,11 @@ class LanguageModel {
   virtual void Observe(token::TokenId id) = 0;
 
   /// Probability of each vocabulary token following the observed context.
-  /// The returned vector has vocab_size() entries summing to 1.
+  /// The returned vector has vocab_size() entries summing to 1. On a
+  /// mutable session this may record the step's lookups for the next
+  /// Observe to reuse, so a mutable session, like any writer, belongs to
+  /// one thread at a time; a frozen model records nothing and may be
+  /// read from any number of threads.
   virtual std::vector<double> NextDistribution() const = 0;
 
   /// In-place variant: writes the distribution into `*out` (resized to
@@ -72,6 +76,12 @@ class LanguageModel {
   }
 
   virtual size_t vocab_size() const = 0;
+
+  /// Hint: this session is about to observe about `num_tokens` more
+  /// tokens (a decode budget), so it may size its private state once
+  /// instead of regrowing it step by step. Never changes output; a
+  /// no-op on frozen models and by default.
+  virtual void ExpectTokens(size_t num_tokens) { (void)num_tokens; }
 
   /// Number of tokens observed since the last Reset().
   virtual size_t context_length() const = 0;

@@ -8,11 +8,6 @@
 namespace multicast {
 namespace lm {
 
-namespace {
-constexpr int kBitsPerToken = 5;
-constexpr int kMaxSupportedDepth = 12;
-}  // namespace
-
 MixtureLanguageModel::Slot::Wide MixtureLanguageModel::Slot::Widen(
     const std::byte* slot) const {
   Wide wide;
@@ -30,11 +25,12 @@ MixtureLanguageModel::MixtureLanguageModel(size_t vocab_size,
                                            std::shared_ptr<BlockPool> pool)
     : vocab_size_(vocab_size),
       options_(options),
+      prior_log_odds_(std::log(options.prior_self_weight /
+                               (1.0 - options.prior_self_weight))),
       store_(Slot{vocab_size}, std::move(pool),
              options.max_base_layers) {
   MC_CHECK(vocab_size_ >= 2 && vocab_size_ <= 31);
-  MC_CHECK(options_.max_depth >= 1 &&
-           options_.max_depth <= kMaxSupportedDepth);
+  MC_CHECK(options_.max_depth >= 1 && options_.max_depth <= kMaxDepth);
   MC_CHECK(options_.kt_alpha > 0.0);
   MC_CHECK(options_.prior_self_weight > 0.0 &&
            options_.prior_self_weight < 1.0);
@@ -44,23 +40,24 @@ MixtureLanguageModel::MixtureLanguageModel(size_t vocab_size,
 
 void MixtureLanguageModel::Reset() {
   observed_ = 0;
-  recent_.clear();
+  history_ = 0;
+  memo_valid_ = false;
   store_.Reset();
   depth_log_odds_.assign(static_cast<size_t>(options_.max_depth) + 1, 0.0);
 }
 
-uint64_t MixtureLanguageModel::PackContext(int depth) const {
-  uint64_t key = static_cast<uint64_t>(depth) + 1;
-  size_t start = recent_.size() - static_cast<size_t>(depth);
-  for (size_t i = start; i < recent_.size(); ++i) {
-    key = (key << kBitsPerToken) |
-          static_cast<uint64_t>(recent_[i] & 0x1f);
-  }
-  return key;
+void MixtureLanguageModel::Freeze() {
+  memo_valid_ = false;
+  store_.Freeze();
 }
 
-bool MixtureLanguageModel::LookupNode(uint64_t key, NodeView* node) const {
-  const auto ref = store_.Find(key);
+int MixtureLanguageModel::DepthsInWindow() const {
+  return static_cast<int>(std::min<size_t>(
+      observed_, static_cast<size_t>(options_.max_depth)));
+}
+
+bool MixtureLanguageModel::ViewNode(
+    const LayeredContextStore<Slot>::Ref& ref, NodeView* node) {
   if (ref.slot != nullptr) {
     node->narrow = NarrowCounts(ref.slot, Slot::kCountsOffset);
     node->total = LoadU32(ref.slot, Slot::kTotalOffset);
@@ -88,13 +85,13 @@ double MixtureLanguageModel::KtProb(const NodeView& node,
   return num / den;
 }
 
-void MixtureLanguageModel::UpdateNode(uint64_t key, size_t symbol,
-                                      double llr, double prior_log_odds) {
+void MixtureLanguageModel::UpdateNode(const Located& at, size_t symbol,
+                                      double llr) {
   // Clamp so a long stretch of wins cannot freeze the weight forever.
-  auto entry = store_.Write(key);
+  auto entry = store_.Write(at);
   if (entry.slot != nullptr) {
     std::byte* p = entry.slot;
-    if (entry.fresh) StoreF64(p, Slot::kLsoOffset, prior_log_odds);
+    if (entry.fresh) StoreF64(p, Slot::kLsoOffset, prior_log_odds_);
     uint16_t* counts = NarrowCounts(p, Slot::kCountsOffset);
     if (counts[symbol] != 0xffff) {
       StoreF64(p, Slot::kLsoOffset,
@@ -104,10 +101,10 @@ void MixtureLanguageModel::UpdateNode(uint64_t key, size_t symbol,
       return;
     }
     // u16 saturation: promote the node to a wide overflow entry.
-    entry.wide = &store_.Promote(key, p);
+    entry.wide = &store_.Promote(at.key, p);
   }
   Slot::Wide& node = *entry.wide;
-  if (entry.fresh) node.log_self_odds = prior_log_odds;
+  if (entry.fresh) node.log_self_odds = prior_log_odds_;
   node.log_self_odds = std::clamp(node.log_self_odds + llr, -30.0, 30.0);
   ++node.counts[symbol];
   ++node.total;
@@ -115,11 +112,13 @@ void MixtureLanguageModel::UpdateNode(uint64_t key, size_t symbol,
 
 void MixtureLanguageModel::MixturePath(std::vector<double>* mix) const {
   mix->assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  int max_depth = static_cast<int>(std::min<size_t>(
-      recent_.size(), static_cast<size_t>(options_.max_depth)));
+  const bool record = !store_.frozen();
+  const int max_depth = DepthsInWindow();
   for (int d = 0; d <= max_depth; ++d) {
+    const Located at = store_.Locate(PackedContextKey(history_, d));
+    if (record) memo_[d] = at;
     NodeView node;
-    if (!LookupNode(PackContext(d), &node)) {
+    if (!ViewNode(at.ref, &node)) {
       continue;  // unseen context: defer to shallower
     }
     double odds = std::exp(std::clamp(
@@ -130,28 +129,29 @@ void MixtureLanguageModel::MixturePath(std::vector<double>* mix) const {
       (*mix)[s] = w * KtProb(node, s) + (1.0 - w) * (*mix)[s];
     }
   }
+  memo_valid_ = record;
 }
 
 void MixtureLanguageModel::Observe(token::TokenId id) {
   MC_CHECK(!frozen());  // Fork() a session instead of mutating a frozen base.
   MC_CHECK(id >= 0 && static_cast<size_t>(id) < vocab_size_);
   const size_t symbol = static_cast<size_t>(id);
-  int max_depth = static_cast<int>(std::min<size_t>(
-      recent_.size(), static_cast<size_t>(options_.max_depth)));
+  const int max_depth = DepthsInWindow();
 
   // 1. Pre-update predictive probabilities of `symbol` at every depth:
   // shallow[d] is the full mixture up to depth d, own[d] the node's KT.
-  std::vector<double> mix_below(static_cast<size_t>(max_depth) + 1);
-  std::vector<double> own(static_cast<size_t>(max_depth) + 1);
-  std::vector<uint64_t> keys(static_cast<size_t>(max_depth) + 1);
+  // One lookup per depth (the preceding NextDistribution's, when there
+  // was one) serves both this pass and the update below.
+  std::array<Located, kMaxDepth + 1> at;
+  std::array<double, kMaxDepth + 1> mix_below;
+  std::array<double, kMaxDepth + 1> own;
   double running = 1.0 / static_cast<double>(vocab_size_);
-  double prior_log_odds = std::log(options_.prior_self_weight /
-                                   (1.0 - options_.prior_self_weight));
   for (int d = 0; d <= max_depth; ++d) {
-    keys[d] = PackContext(d);
+    at[d] = memo_valid_ ? memo_[d]
+                        : store_.Locate(PackedContextKey(history_, d));
     NodeView node;
     mix_below[d] = running;  // mixture of depths < d at `symbol`
-    if (LookupNode(keys[d], &node)) {
+    if (ViewNode(at[d].ref, &node)) {
       own[d] = KtProb(node, symbol);
       double odds = std::exp(std::clamp(
           node.log_self_odds + depth_log_odds_[static_cast<size_t>(d)],
@@ -163,23 +163,21 @@ void MixtureLanguageModel::Observe(token::TokenId id) {
       own[d] = 1.0 / static_cast<double>(vocab_size_);
     }
   }
+  memo_valid_ = false;
 
   // 2. Bayesian weight update per node (posterior odds multiply by the
   // likelihood ratio of "my estimator" vs "the shallower mixture"),
   // then count updates.
   for (int d = 0; d <= max_depth; ++d) {
     double llr = std::log(own[d]) - std::log(mix_below[d]);
-    UpdateNode(keys[d], symbol, llr, prior_log_odds);
+    UpdateNode(at[d], symbol, llr);
     depth_log_odds_[static_cast<size_t>(d)] = std::clamp(
         depth_log_odds_[static_cast<size_t>(d)] +
             options_.depth_learning_rate * llr,
         -30.0, 30.0);
   }
 
-  recent_.push_back(id);
-  if (recent_.size() > static_cast<size_t>(options_.max_depth)) {
-    recent_.pop_front();
-  }
+  history_ = PushContextToken(history_, id);
   ++observed_;
 }
 
@@ -213,10 +211,15 @@ std::unique_ptr<LanguageModel> MixtureLanguageModel::Fork() const {
   auto fork = std::make_unique<MixtureLanguageModel>(vocab_size_, options_,
                                                      store_.pool());
   fork->observed_ = observed_;
-  fork->recent_ = recent_;
+  fork->history_ = history_;
   fork->store_.ShareBase(store_);
   fork->depth_log_odds_ = depth_log_odds_;
   return fork;
+}
+
+void MixtureLanguageModel::ExpectTokens(size_t num_tokens) {
+  store_.ReserveForDecode(num_tokens,
+                          static_cast<size_t>(options_.max_depth) + 1);
 }
 
 size_t MixtureLanguageModel::num_nodes() const {

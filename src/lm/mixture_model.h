@@ -23,8 +23,8 @@
 #ifndef MULTICAST_LM_MIXTURE_MODEL_H_
 #define MULTICAST_LM_MIXTURE_MODEL_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -71,9 +71,10 @@ class MixtureLanguageModel final : public LanguageModel {
   size_t context_length() const override { return observed_; }
 
   bool SupportsFork() const override { return true; }
-  void Freeze() override { store_.Freeze(); }
+  void Freeze() override;
   bool frozen() const override { return store_.frozen(); }
   std::unique_ptr<LanguageModel> Fork() const override;
+  void ExpectTokens(size_t num_tokens) override;
 
   MemoryFootprint ApproxMemoryBytes() const override {
     return store_.Footprint();
@@ -120,32 +121,42 @@ class MixtureLanguageModel final : public LanguageModel {
     double log_self_odds = 0.0;
   };
 
-  // Packs the most recent `depth` tokens into a 64-bit key (5 bits per
-  // token, depth tag disambiguates).
-  uint64_t PackContext(int depth) const;
+  static constexpr int kMaxDepth = 12;
+  using Located = LayeredContextStore<Slot>::Located;
 
-  // The node for `key`, or false when no layer holds it.
-  bool LookupNode(uint64_t key, NodeView* node) const;
+  // Context depths fully available in the window: 0..DepthsInWindow().
+  int DepthsInWindow() const;
+
+  // Read view of the node `ref` holds; false when absent.
+  static bool ViewNode(const LayeredContextStore<Slot>::Ref& ref,
+                       NodeView* node);
 
   // KT predictive probability of `symbol` at `node`.
   double KtProb(const NodeView& node, size_t symbol) const;
 
   // Posterior weight update (odds += llr, clamped) and count update of
-  // the node for `key`; a fresh node starts at `prior_log_odds`.
-  void UpdateNode(uint64_t key, size_t symbol, double llr,
-                  double prior_log_odds);
+  // the node `at` locates; a fresh node starts at prior_log_odds_.
+  void UpdateNode(const Located& at, size_t symbol, double llr);
 
   // Walks the context path computing the mixture distribution in-place.
   void MixturePath(std::vector<double>* mix) const;
 
   size_t vocab_size_;
   MixtureOptions options_;
+  // log(prior / (1 - prior)) of prior_self_weight.
+  double prior_log_odds_;
   size_t observed_ = 0;
-  std::deque<token::TokenId> recent_;
+  // The sliding window, packed as in NGramLanguageModel.
+  uint64_t history_ = 0;
   LayeredContextStore<Slot> store_;
   // Shared log-odds component per depth (see depth_learning_rate).
   // Per-session state: copied, not shared, on fork.
   std::vector<double> depth_log_odds_;
+  // Decode-step memo, as in NGramLanguageModel: the lookups of a mutable
+  // session's last NextDistribution, valid until Observe, Reset or
+  // Freeze. Frozen models record nothing.
+  mutable std::array<Located, kMaxDepth + 1> memo_;
+  mutable bool memo_valid_ = false;
 };
 
 }  // namespace lm

@@ -8,11 +8,6 @@
 namespace multicast {
 namespace lm {
 
-namespace {
-constexpr int kBitsPerToken = 5;
-constexpr int kMaxSupportedOrder = 12;
-}  // namespace
-
 NGramLanguageModel::Slot::Wide NGramLanguageModel::Slot::Widen(
     const std::byte* slot) const {
   Wide wide;
@@ -33,32 +28,30 @@ NGramLanguageModel::NGramLanguageModel(size_t vocab_size,
       store_(Slot{vocab_size}, std::move(pool),
              options.max_base_layers) {
   MC_CHECK(vocab_size_ >= 2 && vocab_size_ <= 31);
-  MC_CHECK(options_.max_order >= 1 &&
-           options_.max_order <= kMaxSupportedOrder);
+  MC_CHECK(options_.max_order >= 1 && options_.max_order <= kMaxOrder);
   MC_CHECK(options_.backoff_boost >= 0.0);
   MC_CHECK(options_.uniform_mix >= 0.0 && options_.uniform_mix < 1.0);
 }
 
 void NGramLanguageModel::Reset() {
   observed_ = 0;
-  recent_.clear();
+  history_ = 0;
+  memo_valid_ = false;
   store_.Reset();
 }
 
-uint64_t NGramLanguageModel::PackContext(int order) const {
-  // Layout: [order tag | token_{-order} ... token_{-1}], each 5 bits.
-  // Token value 0 is valid, so the order tag disambiguates "empty" keys.
-  uint64_t key = static_cast<uint64_t>(order) + 1;
-  size_t start = recent_.size() - static_cast<size_t>(order);
-  for (size_t i = start; i < recent_.size(); ++i) {
-    key = (key << kBitsPerToken) |
-          static_cast<uint64_t>(recent_[i] & 0x1f);
-  }
-  return key;
+void NGramLanguageModel::Freeze() {
+  memo_valid_ = false;
+  store_.Freeze();
 }
 
-void NGramLanguageModel::Count(uint64_t key, size_t w) {
-  auto entry = store_.Write(key);
+int NGramLanguageModel::OrdersInWindow() const {
+  return static_cast<int>(std::min<size_t>(
+      observed_, static_cast<size_t>(options_.max_order)));
+}
+
+void NGramLanguageModel::Count(const Located& at, size_t w) {
+  auto entry = store_.Write(at);
   if (entry.slot != nullptr) {
     std::byte* p = entry.slot;
     uint16_t* counts = NarrowCounts(p, Slot::kCountsOffset);
@@ -72,7 +65,7 @@ void NGramLanguageModel::Count(uint64_t key, size_t w) {
       return;
     }
     // u16 saturation: promote the whole entry to a wide overflow entry.
-    entry.wide = &store_.Promote(key, p);
+    entry.wide = &store_.Promote(at.key, p);
   }
   Slot::Wide& cc = *entry.wide;
   if (cc.counts[w] == 0) ++cc.types;
@@ -84,16 +77,16 @@ void NGramLanguageModel::Observe(token::TokenId id) {
   MC_CHECK(!frozen());  // Fork() a session instead of mutating a frozen base.
   MC_CHECK(id >= 0 && static_cast<size_t>(id) < vocab_size_);
   // Record `id` as the continuation of every context order that is fully
-  // available in the window (order 0 = unigram always is).
-  int max_ctx = static_cast<int>(std::min<size_t>(
-      recent_.size(), static_cast<size_t>(options_.max_order)));
+  // available in the window (order 0 = unigram always is), writing
+  // through the lookups of the NextDistribution just before, if any.
+  const int max_ctx = OrdersInWindow();
   for (int order = 0; order <= max_ctx; ++order) {
-    Count(PackContext(order), static_cast<size_t>(id));
+    Count(memo_valid_ ? memo_[order]
+                      : store_.Locate(PackedContextKey(history_, order)),
+          static_cast<size_t>(id));
   }
-  recent_.push_back(id);
-  if (recent_.size() > static_cast<size_t>(options_.max_order)) {
-    recent_.pop_front();
-  }
+  memo_valid_ = false;
+  history_ = PushContextToken(history_, id);
   ++observed_;
 }
 
@@ -109,10 +102,12 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
   // Narrow (u16) and wide (u32) counts cast to the same doubles.
   std::vector<double>& probs = *out;
   probs.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  int max_ctx = static_cast<int>(std::min<size_t>(
-      recent_.size(), static_cast<size_t>(options_.max_order)));
+  const bool record = !store_.frozen();
+  const int max_ctx = OrdersInWindow();
   for (int order = 0; order <= max_ctx; ++order) {
-    const auto ref = store_.Find(PackContext(order));
+    const Located at = store_.Locate(PackedContextKey(history_, order));
+    if (record) memo_[order] = at;
+    const auto& ref = at.ref;
     const uint16_t* narrow = nullptr;
     const uint32_t* wide = nullptr;
     uint32_t total = 0;
@@ -147,6 +142,7 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
   double sum = 0.0;
   for (double p : probs) sum += p;
   for (double& p : probs) p /= sum;
+  memo_valid_ = record;
 }
 
 std::vector<double> NGramLanguageModel::NextDistribution() const {
@@ -160,9 +156,14 @@ std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
   auto fork = std::make_unique<NGramLanguageModel>(vocab_size_, options_,
                                                    store_.pool());
   fork->observed_ = observed_;
-  fork->recent_ = recent_;
+  fork->history_ = history_;
   fork->store_.ShareBase(store_);
   return fork;
+}
+
+void NGramLanguageModel::ExpectTokens(size_t num_tokens) {
+  store_.ReserveForDecode(num_tokens,
+                          static_cast<size_t>(options_.max_order) + 1);
 }
 
 size_t NGramLanguageModel::num_entries() const {

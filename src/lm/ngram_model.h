@@ -22,8 +22,8 @@
 #ifndef MULTICAST_LM_NGRAM_MODEL_H_
 #define MULTICAST_LM_NGRAM_MODEL_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -69,9 +69,10 @@ class NGramLanguageModel final : public LanguageModel {
   size_t context_length() const override { return observed_; }
 
   bool SupportsFork() const override { return true; }
-  void Freeze() override { store_.Freeze(); }
+  void Freeze() override;
   bool frozen() const override { return store_.frozen(); }
   std::unique_ptr<LanguageModel> Fork() const override;
+  void ExpectTokens(size_t num_tokens) override;
 
   MemoryFootprint ApproxMemoryBytes() const override {
     return store_.Footprint();
@@ -111,20 +112,29 @@ class NGramLanguageModel final : public LanguageModel {
     Wide Widen(const std::byte* slot) const;
   };
 
-  // Packs the last `order` tokens of the recent-context window into a
-  // 64-bit key. Keys of different orders cannot collide because the
-  // order is encoded in the key.
-  uint64_t PackContext(int order) const;
+  static constexpr int kMaxOrder = 12;
+  using Located = LayeredContextStore<Slot>::Located;
 
-  // Adds one occurrence of `w` after the context `key`.
-  void Count(uint64_t key, size_t w);
+  // Context orders fully available in the window: 0..OrdersInWindow().
+  int OrdersInWindow() const;
+
+  // Adds one occurrence of `w` to the entry `at` locates.
+  void Count(const Located& at, size_t w);
 
   size_t vocab_size_;
   NGramOptions options_;
   size_t observed_ = 0;
-  // Most recent max_order tokens (the sliding conditioning window).
-  std::deque<token::TokenId> recent_;
+  // The sliding conditioning window, packed 5 bits per token with the
+  // newest token lowest (see PackedContextKey in lm/paged_store.h).
+  uint64_t history_ = 0;
   LayeredContextStore<Slot> store_;
+  // Decode-step memo: a mutable session's NextDistribution records each
+  // order's lookup here, and the Observe that follows writes through
+  // those records instead of looking every key up again. Valid only
+  // until the session changes (Observe, Reset, Freeze); frozen models
+  // record nothing, so a shared base is never written by its readers.
+  mutable std::array<Located, kMaxOrder + 1> memo_;
+  mutable bool memo_valid_ = false;
 };
 
 }  // namespace lm

@@ -148,46 +148,8 @@ PagedContextStore::PagedContextStore(std::shared_ptr<BlockPool> pool,
   // Keys first, payload area after — 8 * span keeps the payload area
   // (and with slot_bytes_ a multiple of 8, every slot) 8-aligned for
   // the mixture model's leading double.
-  block_bytes_ = sizeof(uint64_t) * span_ + slot_bytes_ * span_;
-}
-
-uint64_t PagedContextStore::MixKey(uint64_t key) {
-  // splitmix64 finalizer: the packed context keys are highly regular in
-  // their low bits, and the index mask needs avalanche.
-  uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t* PagedContextStore::KeyArray(size_t block) {
-  return reinterpret_cast<uint64_t*>(blocks_[block]->data());
-}
-
-const uint64_t* PagedContextStore::KeyArray(size_t block) const {
-  return reinterpret_cast<const uint64_t*>(blocks_[block]->data());
-}
-
-std::byte* PagedContextStore::Payload(size_t block, size_t slot) {
-  return blocks_[block]->data() + sizeof(uint64_t) * span_ +
-         slot_bytes_ * slot;
-}
-
-const std::byte* PagedContextStore::Payload(size_t block, size_t slot) const {
-  return blocks_[block]->data() + sizeof(uint64_t) * span_ +
-         slot_bytes_ * slot;
-}
-
-size_t PagedContextStore::Probe(uint64_t key) const {
-  const size_t mask = index_.size() - 1;
-  size_t cell = static_cast<size_t>(MixKey(key)) & mask;
-  while (true) {
-    const uint32_t id = index_[cell];
-    if (id == 0) return cell;
-    const size_t slot_id = id - 1;
-    if (KeyArray(slot_id / span_)[slot_id % span_] == key) return cell;
-    cell = (cell + 1) & mask;
-  }
+  keys_bytes_ = sizeof(uint64_t) * span_;
+  block_bytes_ = keys_bytes_ + slot_bytes_ * span_;
 }
 
 void PagedContextStore::GrowIndex(size_t min_cells) {
@@ -198,12 +160,18 @@ void PagedContextStore::GrowIndex(size_t min_cells) {
   const size_t mask = cells - 1;
   for (uint32_t id : old) {
     if (id == 0) continue;
-    const size_t slot_id = id - 1;
-    const uint64_t key = KeyArray(slot_id / span_)[slot_id % span_];
-    size_t cell = static_cast<size_t>(MixKey(key)) & mask;
+    size_t cell = static_cast<size_t>(Hash(KeyOf(id))) & mask;
     while (index_[cell] != 0) cell = (cell + 1) & mask;
     index_[cell] = id;
   }
+}
+
+void PagedContextStore::Reserve(size_t entries) {
+  // The smallest power of two keeping `entries` below IndexSlot's 70%
+  // growth threshold.
+  size_t cells = kMinIndexCells;
+  while ((entries + 1) * 10 >= cells * 7) cells <<= 1;
+  if (cells > index_.size()) GrowIndex(cells);
 }
 
 void PagedContextStore::IndexSlot(uint64_t key, uint32_t block,
@@ -212,39 +180,38 @@ void PagedContextStore::IndexSlot(uint64_t key, uint32_t block,
   if (index_.empty() || (size_ + 1) * 10 >= index_.size() * 7) {
     GrowIndex(index_.empty() ? kMinIndexCells : index_.size() * 2);
   }
-  const size_t cell = Probe(key);
-  MC_CHECK(index_[cell] == 0);
-  index_[cell] = 1 + block * static_cast<uint32_t>(span_) + slot;
+  // The key is absent (Insert's contract; merged keys are unique), so
+  // the first empty cell on its probe path is its cell: no key compare.
+  const size_t mask = index_.size() - 1;
+  size_t cell = static_cast<size_t>(Hash(key)) & mask;
+  while (index_[cell] != 0) cell = (cell + 1) & mask;
+  index_[cell] = SlotId(block, slot);
   ++size_;
 }
 
-const std::byte* PagedContextStore::Find(uint64_t key) const {
-  if (index_.empty()) return nullptr;
-  const uint32_t id = index_[Probe(key)];
-  if (id == 0) return nullptr;
-  const size_t slot_id = id - 1;
-  return Payload(slot_id / span_, slot_id % span_);
-}
-
-std::byte* PagedContextStore::FindMutable(uint64_t key) {
-  return const_cast<std::byte*>(
-      static_cast<const PagedContextStore*>(this)->Find(key));
+uint32_t PagedContextStore::PushBlock(BlockRef block) {
+  // Slot ids are u32.
+  MC_CHECK((blocks_.size() + 1) * span_ < size_t{0xffffffff});
+  data_.push_back(block->data());
+  blocks_.push_back(std::move(block));
+  return static_cast<uint32_t>(blocks_.size() - 1);
 }
 
 std::byte* PagedContextStore::Insert(uint64_t key) {
   if (!tail_open_ || tail_used_ == span_) {
     BlockRef block = pool_->Allocate(block_bytes_);
     if (block == nullptr) return nullptr;  // exhaustion: caller spills
-    blocks_.push_back(std::move(block));
+    PushBlock(std::move(block));
     tail_open_ = true;
     tail_used_ = 0;
   }
   const uint32_t block = static_cast<uint32_t>(blocks_.size() - 1);
   const uint32_t slot = static_cast<uint32_t>(tail_used_++);
-  KeyArray(block)[slot] = key;
-  std::memset(Payload(block, slot), 0, slot_bytes_);
+  reinterpret_cast<uint64_t*>(data_[block])[slot] = key;
+  std::byte* payload = data_[block] + keys_bytes_ + slot_bytes_ * slot;
+  std::memset(payload, 0, slot_bytes_);
   IndexSlot(key, block, slot);
-  return Payload(block, slot);
+  return payload;
 }
 
 size_t PagedContextStore::MemoryBytes() const {
@@ -260,17 +227,13 @@ void PagedContextStore::ForEach(
     const std::function<void(uint64_t, const std::byte*)>& fn) const {
   for (uint32_t id : index_) {
     if (id == 0) continue;
-    const size_t slot_id = id - 1;
-    const size_t block = slot_id / span_;
-    const size_t slot = slot_id % span_;
-    fn(KeyArray(block)[slot], Payload(block, slot));
+    fn(KeyOf(id), PayloadOf(id));
   }
 }
 
 uint32_t PagedContextStore::AdoptBlock(BlockRef block) {
-  blocks_.push_back(std::move(block));
   tail_open_ = false;  // never append into an adopted block
-  return static_cast<uint32_t>(blocks_.size() - 1);
+  return PushBlock(std::move(block));
 }
 
 std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
@@ -293,10 +256,9 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
     const PagedContextStore& layer = *layers[li];
     for (uint32_t id : layer.index_) {
       if (id == 0) continue;
-      const size_t slot_id = id - 1;
-      const uint32_t block = static_cast<uint32_t>(slot_id / layer.span_);
-      const uint32_t slot = static_cast<uint32_t>(slot_id % layer.span_);
-      merged[layer.KeyArray(block)[slot]] = Where{li, block, slot};
+      merged[layer.KeyOf(id)] =
+          Where{li, static_cast<uint32_t>(layer.BlockOf(id)),
+                static_cast<uint32_t>(layer.SlotOf(id))};
     }
   }
 
@@ -320,7 +282,7 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
                               : layer.span_;
       std::vector<uint32_t> live_slots;
       for (uint32_t s = 0; s < used; ++s) {
-        const uint64_t key = layer.KeyArray(b)[s];
+        const uint64_t key = layer.KeyOf(layer.SlotId(b, s));
         auto it = merged.find(key);
         if (it == merged.end()) continue;
         const Where& w = it->second;
@@ -333,7 +295,7 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
       if (live * 2 < layer.span_) continue;
       const uint32_t nb = out->AdoptBlock(layer.blocks_[b]);
       for (uint32_t s : live_slots) {
-        const uint64_t key = layer.KeyArray(b)[s];
+        const uint64_t key = layer.KeyOf(layer.SlotId(b, s));
         out->IndexSlot(key, nb, s);
         handled[key] = 1;
       }
@@ -345,7 +307,9 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
     if (handled.find(key) != handled.end()) continue;
     std::byte* dst = out->Insert(key);
     if (dst == nullptr) return nullptr;  // pool exhausted mid-merge
-    std::memcpy(dst, layers[w.layer]->Payload(w.block, w.slot), slot_bytes);
+    const PagedContextStore& from = *layers[w.layer];
+    std::memcpy(dst, from.PayloadOf(from.SlotId(w.block, w.slot)),
+                slot_bytes);
   }
   return out;
 }

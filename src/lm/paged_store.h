@@ -54,6 +54,7 @@
 #ifndef MULTICAST_LM_PAGED_STORE_H_
 #define MULTICAST_LM_PAGED_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -254,6 +255,21 @@ inline uint16_t* NarrowCounts(std::byte* p, size_t off) {
   return reinterpret_cast<uint16_t*>(p + off);
 }
 
+/// Context keys. Both model families condition on the last k tokens
+/// (k <= 12, 5 bits each, ids < 32) and pack them under an order tag:
+/// key = [k + 1 | token_{-k} ... token_{-1}], so keys of different
+/// orders never collide and token 0 is distinct from "no token". A
+/// session keeps its window as one rolling `history` word (newest token
+/// lowest), and every order's key is one shift and one mask of it.
+inline uint64_t PushContextToken(uint64_t history, int id) {
+  return (history << 5) | (static_cast<uint64_t>(id) & 0x1f);
+}
+inline uint64_t PackedContextKey(uint64_t history, int order) {
+  const int bits = 5 * order;
+  const uint64_t window = history & ((uint64_t{1} << bits) - 1);
+  return (static_cast<uint64_t>(order) + 1) << bits | window;
+}
+
 /// See file comment. One layer's context table: keys are the models'
 /// packed 64-bit context keys, payloads are fixed-size byte records the
 /// owning model encodes/decodes. Mutable while building an overlay;
@@ -270,15 +286,34 @@ class PagedContextStore {
   PagedContextStore(const PagedContextStore&) = delete;
   PagedContextStore& operator=(const PagedContextStore&) = delete;
 
-  /// Payload slot for `key`, or null. The mutable overload is only
-  /// valid on a store that is still being built (not frozen/shared).
-  const std::byte* Find(uint64_t key) const;
-  std::byte* FindMutable(uint64_t key);
+  /// Payload slot for `key`, or null.
+  const std::byte* Find(uint64_t key) const { return Find(key, Hash(key)); }
+  /// Find with `hash` == Hash(key) computed once by a caller that looks
+  /// the same key up in several stores.
+  const std::byte* Find(uint64_t key, uint64_t hash) const {
+    if (index_.empty()) return nullptr;
+    const uint32_t id = index_[Probe(key, hash)];
+    return id == 0 ? nullptr : PayloadOf(id);
+  }
 
   /// Appends a zero-initialized slot for `key` (which must be absent)
   /// and returns its payload. Null when the pool refused the block the
   /// slot needs — the exhaustion spill path; nothing was inserted.
   std::byte* Insert(uint64_t key);
+
+  /// The index hash of a key: the splitmix64 finalizer, because packed
+  /// context keys are highly regular in their low bits and the index
+  /// mask needs avalanche.
+  static uint64_t Hash(uint64_t key) {
+    uint64_t z = key + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Sizes the index once for `entries` live entries in total, so the
+  /// inserts up to that count never regrow it. Never shrinks.
+  void Reserve(size_t entries);
 
   size_t size() const { return size_; }
   size_t slot_bytes() const { return slot_bytes_; }
@@ -309,33 +344,56 @@ class PagedContextStore {
       const std::shared_ptr<BlockPool>& pool);
 
  private:
-  static uint64_t MixKey(uint64_t key);
-
-  uint64_t* KeyArray(size_t block);
-  const uint64_t* KeyArray(size_t block) const;
-  std::byte* Payload(size_t block, size_t slot);
-  const std::byte* Payload(size_t block, size_t slot) const;
+  // An index cell holds id = 1 + block * span_ + slot; 0 is empty.
+  // data_ mirrors blocks_' buffers, so a probe's key read is one load.
+  uint32_t SlotId(size_t block, size_t slot) const {
+    return static_cast<uint32_t>(block * span_ + slot + 1);
+  }
+  size_t BlockOf(uint32_t id) const { return (id - 1) / span_; }
+  size_t SlotOf(uint32_t id) const { return (id - 1) % span_; }
+  uint64_t KeyOf(uint32_t id) const {
+    return reinterpret_cast<const uint64_t*>(data_[BlockOf(id)])[SlotOf(id)];
+  }
+  std::byte* PayloadOf(uint32_t id) const {
+    return data_[BlockOf(id)] + keys_bytes_ + slot_bytes_ * SlotOf(id);
+  }
 
   /// Index cell holding `key`, or the empty cell where it would go.
-  size_t Probe(uint64_t key) const;
+  size_t Probe(uint64_t key, uint64_t hash) const {
+    const size_t mask = index_.size() - 1;
+    size_t cell = static_cast<size_t>(hash) & mask;
+    while (true) {
+      const uint32_t id = index_[cell];
+      if (id == 0 || KeyOf(id) == key) return cell;
+      cell = (cell + 1) & mask;
+    }
+  }
   void GrowIndex(size_t min_cells);
-  /// Indexes an existing (block, slot) pair; grows the index as needed.
+  /// Indexes an existing (block, slot) pair whose key is absent from
+  /// the index; grows the index as needed.
   void IndexSlot(uint64_t key, uint32_t block, uint32_t slot);
+  /// Appends `block` to blocks_ and data_; returns its block number.
+  uint32_t PushBlock(BlockRef block);
   /// Adopts `block` (shared, no copy); returns its index in blocks_.
   uint32_t AdoptBlock(BlockRef block);
 
   std::shared_ptr<BlockPool> pool_;
   size_t slot_bytes_;
   size_t span_;
+  /// Bytes of a block's leading key array (8 * span_).
+  size_t keys_bytes_;
   size_t block_bytes_;
   std::vector<BlockRef> blocks_;
+  /// blocks_[i]->data(), kept beside blocks_. Blocks never move, so the
+  /// pointers stay valid for the store's lifetime.
+  std::vector<std::byte*> data_;
   /// Slots used in the *tail* block (fresh inserts append there);
   /// adopted blocks are never appended into.
   size_t tail_used_ = 0;
   /// True while blocks_.back() is a fresh (appendable) block.
   bool tail_open_ = false;
-  /// Open-addressed index: cell = 1 + block * span + slot; 0 = empty.
-  /// Sized to a power of two, grown at 70% load.
+  /// Open-addressed index of slot ids (see SlotId). Sized to a power of
+  /// two, grown at 70% load.
   std::vector<uint32_t> index_;
   size_t size_ = 0;
 };
@@ -408,31 +466,48 @@ class LayeredContextStore {
   bool frozen() const { return frozen_; }
   size_t num_base_layers() const { return base_.size(); }
 
-  /// Effective entry for `key`: overlay first, then frozen top-down.
-  Ref Find(uint64_t key) const {
-    const Ref ref = FindIn(local_.get(), overflow_local_, key);
-    return ref.found() ? ref : FindFrozen(key);
+  /// Where the effective entry for a key lives: `ref` is the entry
+  /// (overlay first, then frozen top-down) and `local` tells whether it
+  /// came from this session's own overlay.
+  struct Located {
+    uint64_t key = 0;
+    Ref ref;
+    bool local = false;
+  };
+
+  /// Effective entry for `key`, hashed once for every layer.
+  Located Locate(uint64_t key) const {
+    const uint64_t hash = PagedContextStore::Hash(key);
+    const Ref ref = FindIn(local_.get(), overflow_local_, key, hash);
+    if (ref.found()) return Located{key, ref, true};
+    return Located{key, FindFrozen(key, hash), false};
   }
 
   /// Writable overlay entry for `key`, seeded from the frozen view on
   /// the session's first write to it. On pool exhaustion the entry
   /// spills to the overlay's overflow map (same integers, same output).
-  WriteRef Write(uint64_t key) {
+  WriteRef Write(uint64_t key) { return Write(Locate(key)); }
+
+  /// Write for an entry already located, with no second lookup. `at`
+  /// must describe this store's current state: no Write, Promote,
+  /// Freeze, Reset or ShareBase may have touched `at.key` since Locate.
+  /// Writes to other keys do not invalidate it: slots live in blocks
+  /// that never move, and overflow entries are unordered_map nodes,
+  /// whose references survive a rehash.
+  WriteRef Write(const Located& at) {
     MC_CHECK(!frozen_);
-    if (std::byte* p = local_->FindMutable(key)) {
-      if (!IsWide(p)) return {p, nullptr, false};
-      return {nullptr, &LocalWide(key), false};
-    }
-    if (!overflow_local_.empty()) {
-      auto spilled = overflow_local_.find(key);
-      if (spilled != overflow_local_.end()) {
-        return {nullptr, &spilled->second, false};
+    if (at.local) {
+      // The entry is in this session's own (mutable) overlay.
+      if (at.ref.slot != nullptr) {
+        return {const_cast<std::byte*>(at.ref.slot), nullptr, false};
       }
+      return {nullptr, const_cast<Wide*>(at.ref.wide), false};
     }
-    const Ref under = FindFrozen(key);
+    const uint64_t key = at.key;
+    const Ref& under = at.ref;
     if (under.wide != nullptr) {
       // Frozen entry already wide: the overlay copy is wide too. The
-      // marker slot is optional (Find falls through to the map).
+      // marker slot is optional (Locate falls through to the map).
       Wide& wide = overflow_local_.emplace(key, *under.wide).first->second;
       if (std::byte* marker = local_->Insert(key)) SetWide(marker);
       return {nullptr, &wide, false};
@@ -447,6 +522,21 @@ class LayeredContextStore {
       std::memcpy(p, under.slot, local_->slot_bytes());
     }
     return {p, nullptr, under.slot == nullptr};
+  }
+
+  /// Sizes a mutable overlay's index for a decode of `num_tokens`
+  /// tokens that writes `orders` keys per token, so the session's writes
+  /// do not regrow it. The shallow orders mostly revisit keys the session
+  /// already wrote and the deep ones mostly add keys: on the decode_heavy
+  /// benchmark 0.02-0.69 of the writes were new, so two thirds covers
+  /// nearly every session. Capped, so a huge budget cannot size an index
+  /// far beyond what a session touches before it would regrow anyway.
+  void ReserveForDecode(size_t num_tokens, size_t orders) {
+    constexpr size_t kMaxEntries = size_t{1} << 16;
+    if (frozen_) return;
+    const size_t entries =
+        std::min(num_tokens, kMaxEntries) * orders * 2 / 3;
+    local_->Reserve(local_->size() + std::min(entries, kMaxEntries));
   }
 
   /// Moves the narrow overlay entry in `slot` (returned by Write for
@@ -546,9 +636,9 @@ class LayeredContextStore {
   }
 
   static Ref FindIn(const PagedContextStore* store, const WideTable& wide,
-                    uint64_t key) {
+                    uint64_t key, uint64_t hash) {
     if (store != nullptr) {
-      if (const std::byte* p = store->Find(key)) {
+      if (const std::byte* p = store->Find(key, hash)) {
         if (!IsWide(p)) return Ref{p, nullptr};
         auto found = wide.find(key);
         MC_CHECK(found != wide.end());
@@ -562,18 +652,12 @@ class LayeredContextStore {
     return Ref{};
   }
 
-  Ref FindFrozen(uint64_t key) const {
+  Ref FindFrozen(uint64_t key, uint64_t hash) const {
     for (auto it = base_.rbegin(); it != base_.rend(); ++it) {
-      const Ref ref = FindIn(it->store.get(), *it->overflow, key);
+      const Ref ref = FindIn(it->store.get(), *it->overflow, key, hash);
       if (ref.found()) return ref;
     }
     return Ref{};
-  }
-
-  Wide& LocalWide(uint64_t key) {
-    auto found = overflow_local_.find(key);
-    MC_CHECK(found != overflow_local_.end());
-    return found->second;
   }
 
   std::unique_ptr<PagedContextStore> NewOverlay() const {

@@ -25,7 +25,10 @@ Result<token::TokenId> SampleToken(const std::vector<double>& probs,
   MC_RETURN_IF_ERROR(ValidateShapes(probs, allowed));
   if (options.temperature <= 1e-6) return GreedyToken(probs, allowed);
 
-  std::vector<double> weights(probs.size(), 0.0);
+  // One weights buffer per thread, reused across tokens: the
+  // temperature-only path allocates nothing once it has grown.
+  thread_local std::vector<double> weights;
+  weights.assign(probs.size(), 0.0);
   double inv_t = 1.0 / options.temperature;
   double max_allowed = 0.0;
   for (size_t i = 0; i < probs.size(); ++i) {
@@ -38,8 +41,10 @@ Result<token::TokenId> SampleToken(const std::vector<double>& probs,
   for (size_t i = 0; i < probs.size(); ++i) {
     if (!allowed[i] || probs[i] <= 0.0) continue;
     // Normalize by the max before exponentiating to avoid underflow at
-    // low temperatures.
-    weights[i] = std::pow(probs[i] / max_allowed, inv_t);
+    // low temperatures. pow(1, y) is exactly 1, so the max skips it.
+    weights[i] = probs[i] == max_allowed
+                     ? 1.0
+                     : std::pow(probs[i] / max_allowed, inv_t);
     if (options.logit_bias_slope != 0.0 && probs.size() > 1) {
       weights[i] *= std::exp(options.logit_bias_slope *
                              static_cast<double>(i) /

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "lm/generator.h"
 #include "lm/mixture_model.h"
@@ -21,6 +22,11 @@ struct BackendCase {
   std::function<std::unique_ptr<LanguageModel>(size_t vocab)> make;
   ModelProfile profile;  // for end-to-end generation checks
 };
+
+// gtest prints a parameter into each discovered test's name. Without
+// this it would print the struct's raw bytes, which start with the
+// `name` pointer and so change with link layout and ASLR.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
 
 BackendCase NGramCase() {
   return {"ngram",

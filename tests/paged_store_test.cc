@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
 
+#include "lm/generator.h"
 #include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/prefix_cache.h"
+#include "lm/profiles.h"
 #include "reference_models.h"
 #include "util/metrics.h"
 
@@ -150,14 +153,6 @@ TEST(PagedContextStoreTest, InsertFindForEachAndIndexGrowth) {
     EXPECT_EQ(tag, k * 3);
   }
   EXPECT_EQ(store.Find(n + 1), nullptr);
-  // FindMutable hits the same slot.
-  std::byte* mut = store.FindMutable(7);
-  ASSERT_NE(mut, nullptr);
-  uint64_t updated = 99;
-  std::memcpy(mut, &updated, sizeof(updated));
-  uint64_t back = 0;
-  std::memcpy(&back, store.Find(7), sizeof(back));
-  EXPECT_EQ(back, 99u);
   // ForEach visits every live entry exactly once.
   size_t visited = 0;
   uint64_t key_sum = 0;
@@ -385,6 +380,202 @@ TEST(PagedModelIdentityTest, MixtureWideCountPromotionStaysIdentical) {
     ExpectSameDistribution(reference, *model);
   }
   EXPECT_EQ(model->num_nodes(), reference.num_nodes());
+}
+
+// Token-level store check. SimulatedLlm's decode loop over the paged
+// models must emit exactly the tokens ReferenceLlm emits. A long decode
+// makes every count of every order matter, so a store fault that a
+// short forecast hides (an overlay entry not seeded from the frozen
+// view, a stale reused lookup) changes the stream here.
+
+// "dd," digit grammar: two digit positions, then a comma.
+GrammarMask DigitGrammar() {
+  auto digits = std::make_shared<const std::vector<bool>>(
+      std::vector<bool>{true, true, true, true, true, true, true, true, true,
+                        true, false});
+  auto comma = std::make_shared<const std::vector<bool>>(
+      std::vector<bool>{false, false, false, false, false, false, false,
+                        false, false, false, true});
+  return GrammarMask(
+      [digits, comma](size_t step) { return step % 3 == 2 ? comma : digits; },
+      /*period=*/3);
+}
+
+// A noisy seasonal series of two-digit values, as digit tokens with a
+// comma after each value.
+std::vector<token::TokenId> DigitSeries(size_t values, uint64_t seed) {
+  std::vector<token::TokenId> out;
+  uint64_t s = seed;
+  for (size_t i = 0; i < values; ++i) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int v = static_cast<int>(
+        (50 + 40 * std::sin(static_cast<double>(i) * 0.5) + (s >> 60)) ) % 100;
+    out.push_back(v / 10);
+    out.push_back(v % 10);
+    out.push_back(10);
+  }
+  return out;
+}
+
+// Decodes `num_tokens` tokens for each prompt, `draws` times each, with
+// SimulatedLlm (paged model, prefix cache, `pool`) and ReferenceLlm from
+// the same seeds, and requires identical token streams.
+void ExpectDecodeMatchesReference(
+    ModelProfile profile, size_t vocab, std::shared_ptr<BlockPool> pool,
+    const std::vector<std::vector<token::TokenId>>& prompts,
+    const GrammarMask& mask, size_t num_tokens, int draws) {
+  profile.memory_pool = std::move(pool);
+  SimulatedLlm llm(profile, vocab, std::make_shared<PrefixCache>());
+  ReferenceLlm reference(profile, vocab);
+  for (size_t r = 0; r < prompts.size(); ++r) {
+    for (int d = 0; d < draws; ++d) {
+      const uint64_t seed = 1000 + 31 * r + static_cast<uint64_t>(d);
+      Rng rng_paged(seed);
+      Rng rng_reference(seed);
+      auto got = llm.Complete(prompts[r], num_tokens, mask, &rng_paged);
+      auto want =
+          reference.Complete(prompts[r], num_tokens, mask, &rng_reference);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_EQ(got.value().tokens.size(), num_tokens);
+      ASSERT_EQ(got.value().tokens, want.value().tokens)
+          << profile.name << " prompt " << r << " draw " << d;
+    }
+  }
+}
+
+TEST(PagedModelIdentityTest, DecodedTokensMatchReferenceThroughForkChains) {
+  // Each prompt extends the previous one, so the prefix cache forks the
+  // last cached state and freezes one more layer per round: five rounds
+  // run the chain past max_base_layers = 2 and compact it. Every draw
+  // forks the cached prompt and decodes 384 tokens on top of it.
+  const size_t vocab = token::Vocabulary::Digits().size();
+  const std::vector<token::TokenId> series = DigitSeries(260, 5);
+  std::vector<std::vector<token::TokenId>> prompts;
+  for (size_t values : {100, 130, 160, 190, 220, 250}) {
+    prompts.emplace_back(series.begin(), series.begin() + 3 * values);
+  }
+  for (ModelProfile profile :
+       {ModelProfile::Llama2_7B(), ModelProfile::CtwMixture()}) {
+    profile.ngram.max_base_layers = 2;
+    profile.mixture.max_base_layers = 2;
+    ExpectDecodeMatchesReference(profile, vocab,
+                                 MakePool(/*block_span=*/16, 0), prompts,
+                                 DigitGrammar(), /*num_tokens=*/384,
+                                 /*draws=*/3);
+    // An 8-block pool: nearly every entry spills to overflow maps, and
+    // compaction takes the overflow-only path.
+    auto tiny = MakePool(/*block_span=*/4, /*max_blocks=*/8);
+    ExpectDecodeMatchesReference(profile, vocab, tiny, prompts,
+                                 DigitGrammar(), /*num_tokens=*/384,
+                                 /*draws=*/3);
+    EXPECT_GT(tiny->stats().exhaustion_events, 0u) << profile.name;
+  }
+}
+
+TEST(PagedModelIdentityTest, DecodedTokensMatchReferenceAcrossPromotion) {
+  // Zero runs of length 40, each ended by a 1 or a 2. The context of
+  // `order` zeros (the deepest the model sees) is followed by a zero
+  // just under 65,435 times in the prompt, so its u16 count saturates
+  // and the entry promotes to a wide one during the decode, about a
+  // hundred zeros in; shallower zero contexts already promoted in the
+  // prompt, so the decode also seeds its overlay from frozen wide
+  // entries. The 1s and 2s (about 3% of the mass after a zero run) keep
+  // the stream sensitive to those counts; temperature 1 samples them as
+  // the model predicts them instead of sharpening them away.
+  const size_t vocab = 3;
+  const size_t kRun = 40;
+  for (ModelProfile profile :
+       {ModelProfile::Llama2_7B(), ModelProfile::CtwMixture()}) {
+    profile.sampler.temperature = 1.0;
+    const size_t order =
+        static_cast<size_t>(profile.backend == BackendKind::kMixture
+                                ? profile.mixture.max_depth
+                                : profile.ngram.max_order);
+    const size_t runs = (65535 - 100) / (kRun - order);
+    std::vector<token::TokenId> prompt;
+    uint64_t s = 11;
+    for (size_t r = 0; r < runs; ++r) {
+      prompt.insert(prompt.end(), kRun, 0);
+      s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+      prompt.push_back(static_cast<token::TokenId>(1 + (s >> 63)));
+    }
+    prompt.insert(prompt.end(), kRun / 2, 0);
+    ExpectDecodeMatchesReference(profile, vocab,
+                                 MakePool(/*block_span=*/32, 0), {prompt},
+                                 AllowAll(vocab), /*num_tokens=*/384,
+                                 /*draws=*/3);
+  }
+}
+
+// The decode-step memo (NextDistribution's lookups reused by the next
+// Observe) must be invisible under any call order: NextDistribution
+// twice before Observe, Observe with no NextDistribution before it,
+// Reset or Freeze + Fork between the two, and the ExpectTokens hint.
+template <typename Model>
+void MemoEdgeCasesAgainstReference(std::unique_ptr<Model> model,
+                                   LanguageModel* reference, size_t vocab) {
+  const std::vector<token::TokenId> stream = TokenStream(3000, vocab, 29);
+  uint64_t s = 5;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    switch ((s >> 33) % 6) {
+      case 0:  // the decode loop's order
+        ExpectSameDistribution(*reference, *model);
+        break;
+      case 1:  // twice before Observe
+        ExpectSameDistribution(*reference, *model);
+        ExpectSameDistribution(*reference, *model);
+        break;
+      case 2:  // Observe alone
+        break;
+      case 3:  // Reset between the two
+        if (i % 7 == 0) {
+          (void)model->NextDistribution();
+          model->Reset();
+          reference->Reset();
+        }
+        break;
+      case 4: {  // Freeze + Fork between the two
+        (void)model->NextDistribution();
+        model->Freeze();
+        model.reset(static_cast<Model*>(model->Fork().release()));
+        break;
+      }
+      case 5:  // a decode-budget hint between the two
+        (void)model->NextDistribution();
+        model->ExpectTokens(64);
+        break;
+    }
+    model->Observe(stream[i]);
+    reference->Observe(stream[i]);
+    // Observe twice in a row: the second one must look up afresh.
+    if (i % 5 == 0) {
+      model->Observe(stream[i]);
+      reference->Observe(stream[i]);
+    }
+  }
+  ExpectSameDistribution(*reference, *model);
+}
+
+TEST(PagedModelIdentityTest, DecodeStepMemoEdgeCasesMatchReference) {
+  const size_t vocab = 7;
+  for (size_t max_blocks : {size_t{0}, size_t{8}}) {
+    NGramOptions ngram;
+    ngram.max_base_layers = 2;
+    ReferenceNGram ngram_reference(vocab, ngram);
+    MemoEdgeCasesAgainstReference(
+        std::make_unique<NGramLanguageModel>(vocab, ngram,
+                                             MakePool(4, max_blocks)),
+        &ngram_reference, vocab);
+    MixtureOptions mixture;
+    mixture.max_base_layers = 2;
+    ReferenceMixture mixture_reference(vocab, mixture);
+    MemoEdgeCasesAgainstReference(
+        std::make_unique<MixtureLanguageModel>(vocab, mixture,
+                                               MakePool(4, max_blocks)),
+        &mixture_reference, vocab);
+  }
 }
 
 TEST(PagedModelIdentityTest, SessionEndFeedsPoolAccounting) {

@@ -2,7 +2,9 @@
 # Pre-merge gate: tier-1 build + tests, then an ASan+UBSan pass over the
 # serving and LLM tiers (the layers doing pointer-heavy virtual-time and
 # cancellation work, where a sanitizer earns its keep), then a TSan pass
-# over the same tiers plus the parallel sampling runtime.
+# over the same tiers plus the parallel sampling runtime. Both sanitizer
+# lists cover the models' per-session decode state (the lookup memo and
+# the sampler's per-thread weights buffer).
 #
 # Usage: tools/check.sh [--no-asan] [--no-tsan]
 set -euo pipefail
@@ -81,6 +83,9 @@ if [[ "${run_asan}" == "1" ]]; then
     backend_contract_test
     ngram_model_test
     mixture_model_test
+    sampler_test
+    generator_test
+    parallel_sampling_test
     prefix_cache_test
     paged_store_test
     multicast_forecaster_test
@@ -106,6 +111,10 @@ if [[ "${run_tsan}" == "1" ]]; then
     thread_pool_test
     metrics_test
     metrics_registry_test
+    ngram_model_test
+    mixture_model_test
+    generator_test
+    sampler_test
     prefix_cache_test
     paged_store_test
     parallel_sampling_test
